@@ -8,6 +8,7 @@ alike.
 """
 
 from .errors import (
+    CrossCheckError,
     DegreeError,
     DomainError,
     DomainMismatch,
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .lti import Polynomial, TransferFunction, parallel, quadratic_roots
 from .transforms import (
+    METHODS,
     STABLE_ALPHA_MIN,
     Euler,
     Method,
@@ -43,6 +45,7 @@ from .transforms import (
     s_from_z,
     stability_circle,
     substitute,
+    time_factors,
     z_from_s,
 )
 from .controllers import (
@@ -65,6 +68,7 @@ from .analysis import (
     ResponsePoint,
     SourcePoles,
     alternative_rmse_grids,
+    complex_response,
     default_bode_grid,
     default_rmse_grid,
     freq_response,
@@ -100,19 +104,19 @@ __version__ = "0.1.0"
 __all__ = [
     "SbtkitError", "ParamError", "DomainError", "DomainMismatch", "DegreeError",
     "PoleHit", "MapSingularity", "OriginError", "NormalizationError", "EmptyInput",
-    "NumericOverflow", "NotSettled", "WindowError",
+    "NumericOverflow", "NotSettled", "WindowError", "CrossCheckError",
     "StabilityRangeWarning", "UnstableWarning",
     "Polynomial", "TransferFunction", "parallel", "quadratic_roots",
     "STABLE_ALPHA_MIN", "SbtParams", "Euler", "Tustin", "TustinPrewarp", "Sbt",
     "Method", "StabilityCircle", "z_from_s", "s_from_z", "exact_z_from_s",
     "equivalent_s_from_z", "prewarp_factor", "stability_circle", "is_stable_image",
-    "substitute", "method_params", "method_label",
+    "substitute", "METHODS", "time_factors", "method_params", "method_label",
     "QrParams", "PiParams", "BiquadCoeffs", "DiffEqCoeffs",
     "qr_continuous", "pi_continuous", "pir_continuous", "qr_discretize",
     "pi_discretize", "pir_discretize", "diff_eq_coeffs", "sbt_params_straightforward",
     "FrequencyGrid", "ResponsePoint", "SourcePoles", "PoleMapRecord",
     "default_bode_grid", "default_rmse_grid", "alternative_rmse_grids",
-    "load_grid_file", "freq_response", "magnitude_error_curve", "rmse",
+    "load_grid_file", "complex_response", "freq_response", "magnitude_error_curve", "rmse",
     "source_poles", "pole_map_table",
     "LossConfig", "SearchConfig", "TraceEntry", "OptimizeResult",
     "q_loss", "optimize_alpha_beta",

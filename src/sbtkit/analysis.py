@@ -14,20 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import QrParams, qr_discretize, sbt_params_straightforward
-from .errors import DomainError, EmptyInput, ParamError
+from .errors import CrossCheckError, DomainError, EmptyInput, ParamError
 from .lti import Polynomial, TransferFunction, quadratic_roots
 from .transforms import (
-    Euler,
+    METHODS,
     Method,
     Sbt,
     SbtParams,
-    Tustin,
-    TustinPrewarp,
     equivalent_s_from_z,
     exact_z_from_s,
     method_label,
-    method_params,
     prewarp_factor,
+    time_factors,
     z_from_s,
 )
 
@@ -40,12 +38,12 @@ __all__ = [
     "default_rmse_grid",
     "alternative_rmse_grids",
     "load_grid_file",
+    "complex_response",
     "freq_response",
     "magnitude_error_curve",
     "rmse",
     "source_poles",
     "pole_map_table",
-    "default_methods",
 ]
 
 
@@ -60,8 +58,8 @@ class FrequencyGrid:
         if len(self.points) == 0:
             raise EmptyInput("frequency grid needs at least one point")
         pts = tuple(float(f) for f in self.points)
-        if pts[0] <= 0.0:
-            raise ParamError("grid frequencies must be positive")
+        if not (0.0 < pts[0] and pts[-1] < math.inf):
+            raise ParamError("grid frequencies must be positive and finite")
         for lo, hi in zip(pts, pts[1:]):
             if not hi > lo:
                 raise ParamError("grid frequencies must be strictly increasing")
@@ -81,8 +79,8 @@ class FrequencyGrid:
 
     @classmethod
     def logarithmic(cls, f_lo: float, f_hi: float, n: int) -> "FrequencyGrid":
-        if f_lo <= 0:
-            raise ParamError("logarithmic grid needs a positive lower edge")
+        if f_lo <= 0 or f_hi <= 0:
+            raise ParamError("logarithmic grid needs positive edges")
         return cls(tuple(np.logspace(math.log10(f_lo), math.log10(f_hi), n)), "logarithmic")
 
     @classmethod
@@ -146,7 +144,13 @@ class ResponsePoint:
     pole_hit: bool = False
 
 
-def _eval_points(tf: TransferFunction, freqs: np.ndarray) -> np.ndarray:
+def complex_response(tf: TransferFunction, freqs: np.ndarray):
+    """Complex response at each frequency (Hz) and the mask of pole hits.
+
+    A continuous system is evaluated at j*2*pi*f, a discrete one at
+    exp(j*2*pi*f*dt), which must lie below Nyquist.  Where |den| < 1e-300 the
+    point is flagged and its value is num/1.
+    """
     if tf.is_discrete:
         if freqs[-1] >= 0.5 / tf.dt:
             raise DomainError(
@@ -155,16 +159,13 @@ def _eval_points(tf: TransferFunction, freqs: np.ndarray) -> np.ndarray:
         x = np.exp(1j * 2.0 * math.pi * freqs * tf.dt)
     else:
         x = 1j * 2.0 * math.pi * freqs
-    return x
-
-
-def _response_arrays(tf: TransferFunction, freqs: np.ndarray, tol: float = 1e-300):
-    x = _eval_points(tf, freqs)
-    numv = tf.num(x)
     denv = tf.den(x)
-    hit = np.abs(denv) < tol
-    safe_den = np.where(hit, 1.0, denv)
-    h = np.asarray(numv) / safe_den
+    hit = np.abs(denv) < 1e-300
+    return np.asarray(tf.num(x)) / np.where(hit, 1.0, denv), hit
+
+
+def _response_arrays(tf: TransferFunction, freqs: np.ndarray):
+    h, hit = complex_response(tf, freqs)
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(np.abs(h))
     phase = np.degrees(np.angle(h))
@@ -252,16 +253,6 @@ class PoleMapRecord:
     equivalent_s: complex
 
 
-def default_methods(p: QrParams, T: float) -> list[Method]:
-    """The four standard methods, scalable one at its straightforward pair."""
-    return [
-        Euler(),
-        Tustin(),
-        TustinPrewarp(),
-        Sbt(sbt_params_straightforward(p, T)),
-    ]
-
-
 def pole_map_table(
     p: QrParams,
     T: float,
@@ -270,33 +261,36 @@ def pole_map_table(
 ) -> list[PoleMapRecord]:
     """Pole landing table, reference row first.
 
-    Row one maps the original pole through exp(s*T).  Every other row maps
-    its source pole through the bilinear map and cross-checks that image
-    against the roots of the discretized biquad denominator.  The
-    pre-warped trapezoidal method warps the source pole, not the map: its
-    row sends the pre-warped pole through the plain trapezoidal rule,
-    because its coefficient column rescales only the resonant frequency and
-    leaves the bandwidth term alone.  Disagreement beyond
-    ``consistency_tol`` means the closed-form coefficient columns and the
-    map disagree, and raises.
+    Row one maps the original pole through exp(s*T).  Every other row
+    resolves its method to (alpha, beta_c, beta_n), scales the plant's
+    resonance by beta_n/beta_c, maps that pole through the bilinear map
+    (alpha, beta_c), and cross-checks the image against the roots of the
+    discretized biquad denominator.  Disagreement beyond
+    ``consistency_tol`` means the closed-form coefficient column and the
+    map disagree, and raises CrossCheckError.
     """
     if methods is None:
-        methods = default_methods(p, T)
-    poles = source_poles(p, T)
-    exact_z = exact_z_from_s(poles.original, T)
+        methods = [
+            Sbt(sbt_params_straightforward(p, T)) if tag is Sbt else tag()
+            for tag in METHODS.values()
+        ]
+
+    def pole(ratio: float) -> complex:
+        # upper plant pole with its resonance scaled by ratio (>= 1)
+        wn = p.omega_n * ratio
+        return complex(-p.omega_c, math.sqrt(wn**2 - p.omega_c**2))
+
+    exact_z = exact_z_from_s(pole(1.0), T)
     records = [
         PoleMapRecord("exact", exact_z, equivalent_s_from_z(exact_z, T))
     ]
     for m in methods:
-        if isinstance(m, TustinPrewarp):
-            src, params = poles.prewarped, SbtParams(0.5, 1.0)
-        else:
-            src, params = poles.original, method_params(m, p.omega_n, T)
-        mapped = z_from_s(src, params, T)
+        alpha, beta_c, beta_n = time_factors(m, p.omega_n, T)
+        mapped = z_from_s(pole(beta_n / beta_c), SbtParams(alpha, beta_c), T)
         den = qr_discretize(p, m, T)
         root_hi, _ = quadratic_roots(Polynomial([den.b0, den.b1, den.b2]))
         if abs(mapped - root_hi) > consistency_tol:
-            raise ArithmeticError(
+            raise CrossCheckError(
                 f"{method_label(m)}: analytic pole image {mapped!r} and biquad "
                 f"denominator root {root_hi!r} disagree beyond {consistency_tol:g}"
             )

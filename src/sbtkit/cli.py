@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 invalid arguments, 3 domain errors raised by the
 math, 4 numeric divergence during simulation.  Machine output (csv/json)
-carries 17 significant digits; the human tables round for reading.
-Frequencies on the command line are plain Hz; the -wc/-wn controller
-constants are angular (rad/s), matching how such controllers are quoted.
+carries 17 significant digits, and json writes non-finite numbers as
+null; the human tables round for reading.  Frequencies on the command
+line are plain Hz; the -wc/-wn controller constants are angular (rad/s),
+matching how such controllers are quoted.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import json
 import math
 import os
 import sys
-import tempfile
+from dataclasses import asdict
+
+import numpy as np
 
 from . import analysis, controllers, sim, transforms, tuning
 from .errors import NumericOverflow, ParamError, SbtkitError
@@ -31,23 +34,38 @@ DEFAULTS = {
 
 GRID_ENV = "SBT_DEFAULT_GRID"
 
-FMT = ".17g"
+METHOD_NAMES = ",".join(transforms.METHODS)
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
+def _json_safe(value):
+    """The payload with every non-finite float replaced by None (null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    return value
+
+
+def _emit(args, rows, keys, table=None, payload=None) -> int:
+    """Write a command's result to --output (atomically) or to stdout.
+
+    json is the rows, or payload when given; csv is a header of keys and
+    one line per row; table is the given lines, and commands without a
+    table print csv.
+    """
+    if args.format == "json":
+        text = json.dumps(_json_safe(rows if payload is None else payload), indent=2) + "\n"
+    elif args.format == "table" and table is not None:
+        text = "\n".join(table) + "\n"
+    else:
+        text = sim.csv_text(keys, ([r[k] for k in keys] for r in rows))
+    if args.output is None:
         sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    else:
+        sim.write_atomic(args.output, text)
+    return 0
 
 
 def _load_config(path: str | None) -> dict:
@@ -63,6 +81,8 @@ def _load_config(path: str | None) -> dict:
     unknown = set(cfg) - set(DEFAULTS)
     if unknown:
         raise ParamError(f"unknown config keys: {sorted(unknown)}")
+    if not all(type(v) in (int, float) for v in cfg.values()):
+        raise ParamError("config values must be numbers")
     return cfg
 
 
@@ -76,41 +96,31 @@ def _constants(args) -> dict:
     return merged
 
 
-def _qr(args, kr_key: str = "kr") -> tuple[controllers.QrParams, float]:
+def _qr(args) -> tuple[controllers.QrParams, float]:
     c = _constants(args)
-    return controllers.QrParams(c[kr_key], c["wc"], c["wn"]), 1.0 / c["fs"]
+    if not 0 < c["fs"] < math.inf:
+        raise ParamError(f"fs must be positive and finite, got {c['fs']!r}")
+    return controllers.QrParams(c["kr"], c["wc"], c["wn"]), 1.0 / c["fs"]
 
 
 def _resolve_method(name: str, p: controllers.QrParams, T: float, args):
-    alpha = getattr(args, "alpha", None)
-    beta = getattr(args, "beta", None)
-    if name == "euler":
-        return transforms.Euler()
-    if name == "tustin":
-        return transforms.Tustin()
-    if name == "sota":
-        return transforms.TustinPrewarp()
-    if name == "sbt":
-        if alpha is None and beta is None:
-            return transforms.Sbt(controllers.sbt_params_straightforward(p, T))
-        a = 0.5 if alpha is None else alpha
-        b = transforms.prewarp_factor(p.omega_n, T) if beta is None else beta
-        return transforms.Sbt(transforms.SbtParams(a, b))
-    raise ParamError(f"unknown method {name!r}")
+    tag = transforms.METHODS.get(name)
+    if tag is None:
+        raise ParamError(f"unknown method {name!r}")
+    if tag is not transforms.Sbt:
+        return tag()
+    alpha = 0.5 if args.alpha is None else args.alpha
+    beta = transforms.prewarp_factor(p.omega_n, T) if args.beta is None else args.beta
+    return transforms.Sbt(transforms.SbtParams(alpha, beta))
 
 
-def _method_list(spec: str, p, T, args, allow_exact: bool = False, allow_pi: bool = False):
+def _method_list(spec: str, p, T, args, extra=()):
+    """Resolved method tags in spec order; names in extra pass through as strings."""
     out = []
     for name in spec.split(","):
         name = name.strip().lower()
-        if not name:
-            continue
-        if name == "exact" and allow_exact:
-            out.append("exact")
-        elif name == "pi" and allow_pi:
-            out.append("pi")
-        else:
-            out.append(_resolve_method(name, p, T, args))
+        if name:
+            out.append(name if name in extra else _resolve_method(name, p, T, args))
     if not out:
         raise ParamError("no methods requested")
     return out
@@ -134,49 +144,32 @@ def _parse_grid_spec(spec: str):
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ParamError("grid spec must be lo:hi:n or lo:hi:n:log")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ParamError(f"grid spec {spec!r}: {exc}") from exc
+    if n < 1:
+        raise ParamError(f"grid spec {spec!r} needs at least one point")
     kind = parts[3] if len(parts) == 4 else "linear"
     if kind not in ("linear", "log"):
         raise ParamError(f"grid kind must be linear or log, got {kind!r}")
     return lo, hi, n, kind
 
 
-def _fmt_row(values) -> str:
-    return ",".join(format(v, FMT) for v in values)
-
-
 def cmd_discretize(args) -> int:
     p, T = _qr(args)
-    methods = _method_list(args.method, p, T, args)
     rows = []
-    for m in methods:
+    for m in _method_list(args.method, p, T, args):
         biq = controllers.qr_discretize(p, m, T)
-        row = {
-            "method": transforms.method_label(m),
-            "a2": biq.a2, "a1": biq.a1, "a0": biq.a0,
-            "b2": biq.b2, "b1": biq.b1, "b0": biq.b0,
-        }
+        row = {"method": transforms.method_label(m), **asdict(biq)}
         if args.diffeq:
-            d = controllers.diff_eq_coeffs(biq)
-            row.update(kin0=d.kin0, kin1=d.kin1, kin2=d.kin2, kout1=d.kout1, kout2=d.kout2)
+            row.update(asdict(controllers.diff_eq_coeffs(biq)))
         rows.append(row)
-    keys = [k for k in rows[0] if k != "method"]
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["method," + ",".join(keys)]
-        for r in rows:
-            lines.append(r["method"] + "," + _fmt_row(r[k] for k in keys))
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = []
-        for r in rows:
-            lines.append(r["method"])
-            for k in keys:
-                lines.append(f"  {k} = {r[k]:.12g}")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0
+    keys = list(rows[0])
+    table = [
+        line for r in rows for line in [r["method"]] + [f"  {k} = {r[k]:.12g}" for k in keys[1:]]
+    ]
+    return _emit(args, rows, keys, table)
 
 
 def cmd_bode(args) -> int:
@@ -188,18 +181,11 @@ def cmd_bode(args) -> int:
     else:
         m = _resolve_method(name, p, T, args)
         tf = controllers.qr_discretize(p, m, T).to_transfer(T)
-    pts = analysis.freq_response(tf, grid)
-    if args.format == "json":
-        text = json.dumps(
-            [{"f_hz": q.f_hz, "mag_db": q.mag_db, "phase_deg": q.phase_deg} for q in pts],
-            indent=2,
-        ) + "\n"
-    else:
-        lines = ["f_hz,mag_db,phase_deg"]
-        lines += [_fmt_row((q.f_hz, q.mag_db, q.phase_deg)) for q in pts]
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0
+    rows = [
+        {"f_hz": q.f_hz, "mag_db": q.mag_db, "phase_deg": q.phase_deg}
+        for q in analysis.freq_response(tf, grid)
+    ]
+    return _emit(args, rows, ["f_hz", "mag_db", "phase_deg"])
 
 
 def cmd_error(args) -> int:
@@ -208,13 +194,7 @@ def cmd_error(args) -> int:
     m = _resolve_method(args.method, p, T, args)
     disc = controllers.qr_discretize(p, m, T).to_transfer(T)
     curve = analysis.magnitude_error_curve(controllers.qr_continuous(p), disc, grid)
-    if args.format == "json":
-        text = json.dumps([{"f_hz": f, "err_db": e} for f, e in curve], indent=2) + "\n"
-    else:
-        lines = ["f_hz,err_db"] + [_fmt_row(row) for row in curve]
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0
+    return _emit(args, [{"f_hz": f, "err_db": e} for f, e in curve], ["f_hz", "err_db"])
 
 
 def cmd_rmse(args) -> int:
@@ -228,64 +208,37 @@ def cmd_rmse(args) -> int:
         values[transforms.method_label(m)] = analysis.rmse(
             analysis.magnitude_error_curve(analog, disc, grid)
         )
+    rows = [{"method": k, "rmse_db": v} for k, v in values.items()]
+    table = [f"{k:8s} rmse = {v:.6f} dB" for k, v in values.items()]
     ratio = None
     if "sbt" in values and "sota" in values:
         ratio = values["sbt"] / values["sota"]
-    if args.format == "json":
-        text = json.dumps({"rmse_db": values, "ratio_sbt_over_sota": ratio}, indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["method,rmse_db"]
-        lines += [f"{k},{format(v, FMT)}" for k, v in values.items()]
-        if ratio is not None:
-            lines.append(f"ratio_sbt_over_sota,{format(ratio, FMT)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{k:8s} rmse = {v:.6f} dB" for k, v in values.items()]
-        if ratio is not None:
-            lines.append(f"ratio sbt/sota = {ratio:.4f}")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0
+        rows.append({"method": "ratio_sbt_over_sota", "rmse_db": ratio})
+        table.append(f"ratio sbt/sota = {ratio:.4f}")
+    payload = {"rmse_db": values, "ratio_sbt_over_sota": ratio}
+    return _emit(args, rows, ["method", "rmse_db"], table, payload)
 
 
 def cmd_pole_map(args) -> int:
     p, T = _qr(args)
-    requested = _method_list(args.method, p, T, args, allow_exact=True)
-    methods = [m for m in requested if m != "exact"]
-    records = analysis.pole_map_table(p, T, methods)
+    requested = _method_list(args.method, p, T, args, extra=("exact",))
+    records = analysis.pole_map_table(p, T, [m for m in requested if m != "exact"])
     if "exact" not in requested:
-        records = [r for r in records if r.label != "exact"]
-    if args.format == "json":
-        text = json.dumps(
-            [
-                {
-                    "method": r.label,
-                    "z_re": r.mapped_z.real, "z_im": r.mapped_z.imag,
-                    "sigma": r.equivalent_s.real, "omega": r.equivalent_s.imag,
-                }
-                for r in records
-            ],
-            indent=2,
-        ) + "\n"
-    elif args.format == "csv":
-        lines = ["method,z_re,z_im,sigma,omega"]
-        for r in records:
-            lines.append(
-                r.label + "," + _fmt_row(
-                    (r.mapped_z.real, r.mapped_z.imag, r.equivalent_s.real, r.equivalent_s.imag)
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = ["method   mapped z               equivalent s"]
-        for r in records:
-            lines.append(
-                f"{r.label:8s} ({r.mapped_z.real:.5f}, {r.mapped_z.imag:.5f})    "
-                f"({r.equivalent_s.real:.3f}, {r.equivalent_s.imag:.0f})"
-            )
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0
+        records = records[1:]
+    rows = [
+        {
+            "method": r.label,
+            "z_re": r.mapped_z.real, "z_im": r.mapped_z.imag,
+            "sigma": r.equivalent_s.real, "omega": r.equivalent_s.imag,
+        }
+        for r in records
+    ]
+    table = ["method   mapped z               equivalent s"] + [
+        f"{r['method']:8s} ({r['z_re']:.5f}, {r['z_im']:.5f})    "
+        f"({r['sigma']:.3f}, {r['omega']:.0f})"
+        for r in rows
+    ]
+    return _emit(args, rows, ["method", "z_re", "z_im", "sigma", "omega"], table)
 
 
 def cmd_simulate(args) -> int:
@@ -297,20 +250,20 @@ def cmd_simulate(args) -> int:
 def _simulate_board(args) -> int:
     p, T = _qr(args)
     fs = 1.0 / T
-    methods = _method_list(args.method, p, T, args)
     rows = []
-    for m in methods:
+    for m in _method_list(args.method, p, T, args):
+        label = transforms.method_label(m)
         biq = controllers.qr_discretize(p, m, T)
         coeffs = controllers.diff_eq_coeffs(biq)
         res = sim.sine_steady_state(
             coeffs, args.f, fs, amp=args.amp,
             settle_cycles=args.settle_cycles, measure_cycles=args.measure_cycles,
         )
-        predicted = abs(biq.to_transfer(T)(complex(math.cos(2 * math.pi * args.f * T),
-                                                   math.sin(2 * math.pi * args.f * T)))) * args.amp
+        h, _ = analysis.complex_response(biq.to_transfer(T), np.array([args.f]))
+        predicted = float(abs(h[0])) * args.amp
         rows.append(
             {
-                "method": transforms.method_label(m),
+                "method": label,
                 "amplitude": res.amplitude,
                 "phase_deg": res.phase_deg,
                 "residual": res.residual,
@@ -322,24 +275,14 @@ def _simulate_board(args) -> int:
             os.makedirs(args.trace_dir, exist_ok=True)
             _write_board_trace(
                 coeffs, args.f, fs, args.amp,
-                os.path.join(args.trace_dir, f"board_{transforms.method_label(m)}.csv"),
+                os.path.join(args.trace_dir, f"board_{label}.csv"),
             )
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    elif args.format == "csv":
-        keys = ["amplitude", "phase_deg", "residual", "predicted", "mismatch"]
-        lines = ["method," + ",".join(keys)]
-        lines += [r["method"] + "," + _fmt_row(r[k] for k in keys) for r in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"{r['method']:8s} amp = {r['amplitude']:.4f}  phase = {r['phase_deg']:8.3f} deg  "
-            f"predicted = {r['predicted']:.4f}  mismatch = {100 * r['mismatch']:.4f}%"
-            for r in rows
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0
+    table = [
+        f"{r['method']:8s} amp = {r['amplitude']:.4f}  phase = {r['phase_deg']:8.3f} deg  "
+        f"predicted = {r['predicted']:.4f}  mismatch = {100 * r['mismatch']:.4f}%"
+        for r in rows
+    ]
+    return _emit(args, rows, list(rows[0]), table)
 
 
 def _write_board_trace(coeffs, f: float, fs: float, amp: float, path: str,
@@ -348,9 +291,7 @@ def _write_board_trace(coeffs, f: float, fs: float, amp: float, path: str,
     idx = list(range(n))
     x = [amp * math.sin(2 * math.pi * f * k / fs) for k in idx]
     y = sim.run_difference_equation(coeffs, x)
-    lines = ["t,x,y"]
-    lines += [_fmt_row((k / fs, x[k], y[k])) for k in idx]
-    _write_output("\n".join(lines) + "\n", path)
+    sim.write_atomic(path, sim.csv_text(("t", "x", "y"), ((k / fs, x[k], y[k]) for k in idx)))
 
 
 def _simulate_inverter(args) -> int:
@@ -366,33 +307,22 @@ def _simulate_inverter(args) -> int:
     T = 1.0 / cfg.fs_ctrl
     p = controllers.QrParams(c["kr_inv"], c["wc"], c["wn"])
     pi = controllers.PiParams(c["kp"], c["tau_i"])
-    names = [n.strip().lower() for n in args.method.split(",") if n.strip()]
     rows = []
-    for name in names:
-        if name == "pi":
-            legs = (controllers.pi_discretize(pi, T),)
+    for m in _method_list(args.method, p, T, args, extra=("pi",)):
+        if m == "pi":
+            name, legs = m, (controllers.pi_discretize(pi, T),)
         else:
-            m = _resolve_method(name, p, T, args)
-            legs = controllers.pir_discretize(pi, p, m, T)
+            name, legs = transforms.method_label(m), controllers.pir_discretize(pi, p, m, T)
         try:
             trace = sim.inverter_closed_loop(cfg, legs)
         except NumericOverflow as exc:
             raise NumericOverflow(f"method {name}: {exc}") from exc
-        value = sim.trace_thd(trace, cfg, periods=args.periods)
-        rows.append({"method": name, "thd_pct": value})
+        rows.append({"method": name, "thd_pct": sim.trace_thd(trace, cfg, periods=args.periods)})
         if args.trace_dir:
             os.makedirs(args.trace_dir, exist_ok=True)
             sim.write_trace_csv(trace, os.path.join(args.trace_dir, f"inverter_{name}.csv"))
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    elif args.format == "csv":
-        lines = ["method,thd_pct"] + [f"{r['method']},{format(r['thd_pct'], FMT)}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{r['method']:8s} THDi = {r['thd_pct']:.4f} %" for r in rows]
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.output)
-    return 0
+    table = [f"{r['method']:8s} THDi = {r['thd_pct']:.4f} %" for r in rows]
+    return _emit(args, rows, ["method", "thd_pct"], table)
 
 
 def cmd_optimize(args) -> int:
@@ -407,12 +337,8 @@ def cmd_optimize(args) -> int:
     )
     res = tuning.optimize_alpha_beta(p, T, loss_cfg, search)
     if args.trace:
-        lines = ["stage,alpha,beta,loss,best_loss"]
-        lines += [
-            e.stage + "," + _fmt_row((e.alpha, e.beta, e.loss, e.best_loss))
-            for e in res.trace
-        ]
-        _write_output("\n".join(lines) + "\n", args.trace)
+        rows = ((e.stage, e.alpha, e.beta, e.loss, e.best_loss) for e in res.trace)
+        sim.write_atomic(args.trace, sim.csv_text(("stage", "alpha", "beta", "loss", "best_loss"), rows))
     summary = {
         "alpha": res.alpha,
         "beta": res.beta,
@@ -422,25 +348,25 @@ def cmd_optimize(args) -> int:
         "straightforward_loss": res.straightforward_loss,
         "evaluations": len(res.trace),
     }
-    if args.format == "json":
-        text = json.dumps(summary, indent=2) + "\n"
-    else:
-        text = (
-            f"alpha = {res.alpha:.10f}\nbeta = {res.beta:.10f}\n"
-            f"loss = {res.loss_value:.10g}\n"
-            f"straightforward (0.5, {res.straightforward.beta:.10f}) "
-            f"loss = {res.straightforward_loss!r}\n"
-            f"evaluations = {len(res.trace)}\n"
-        )
-    _write_output(text, args.output)
-    return 0
+    table = [
+        f"alpha = {res.alpha:.10f}",
+        f"beta = {res.beta:.10f}",
+        f"loss = {res.loss_value:.10g}",
+        f"straightforward (0.5, {res.straightforward.beta:.10f}) "
+        f"loss = {res.straightforward_loss!r}",
+        f"evaluations = {len(res.trace)}",
+    ]
+    return _emit(args, [summary], list(summary), table, summary)
 
 
 def _parse_range(spec: str) -> tuple[float, float]:
     parts = spec.split(":")
     if len(parts) != 2:
         raise ParamError(f"range must be lo:hi, got {spec!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise ParamError(f"range {spec!r}: {exc}") from exc
 
 
 def _add_common(sp, with_grid: bool = False) -> None:
@@ -470,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("discretize", help="closed-form biquad coefficients")
     _add_common(sp)
-    sp.add_argument("--method", "--methods", default="euler,tustin,sota,sbt")
+    sp.add_argument("--method", "--methods", default=METHOD_NAMES)
     sp.add_argument("--diffeq", action="store_true", help="also print normalized update coefficients")
     sp.set_defaults(func=cmd_discretize)
 
@@ -486,18 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rmse", help="magnitude error RMSE per method")
     _add_common(sp, with_grid=True)
-    sp.add_argument("--method", "--methods", default="euler,tustin,sota,sbt")
+    sp.add_argument("--method", "--methods", default=METHOD_NAMES)
     sp.set_defaults(func=cmd_rmse)
 
     sp = sub.add_parser("pole-map", help="pole landing table")
     _add_common(sp)
-    sp.add_argument("--method", "--methods", default="exact,euler,tustin,sota,sbt")
+    sp.add_argument("--method", "--methods", default="exact," + METHOD_NAMES)
     sp.set_defaults(func=cmd_pole_map)
 
     sp = sub.add_parser("simulate", help="steady-state sine test or inverter loop")
     _add_common(sp)
     sp.add_argument("scenario", choices=("board", "inverter"))
-    sp.add_argument("--method", "--methods", default="euler,tustin,sota,sbt",
+    sp.add_argument("--method", "--methods", default=METHOD_NAMES,
                     help="inverter also accepts pi")
     sp.add_argument("--f", type=float, default=950.0, help="board drive frequency, Hz")
     sp.add_argument("--amp", type=float, default=1.0, help="board drive amplitude")
@@ -538,7 +464,7 @@ def main(argv=None) -> int:
     except NumericOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except SbtkitError as exc:
+    except (SbtkitError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -10,29 +10,22 @@ parallel.  Discretization produces a biquad in descending z powers,
 
     H(z) = (a2*z^2 + a1*z + a0) / (b2*z^2 + b1*z + b0),
 
-by closed-form columns, one per method.  The generic scalable column with
-(alpha, beta) reduces bit-exactly to the backward-difference column at
-(1, 1) and to the trapezoidal column at (0.5, 1); expression order below
-is chosen so those reductions hold exactly in floating point.
+by one closed-form column over (alpha, beta_c, beta_n).  It reduces
+bit-exactly to the backward-difference column at (1, 1, 1), to the
+trapezoidal column at (0.5, 1, 1) and to the pre-warped trapezoidal
+column at (0.5, 1, k_w); expression order below is chosen so those
+reductions hold exactly in floating point.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 from .errors import NormalizationError, ParamError, StabilityRangeWarning
 from .lti import Polynomial, TransferFunction, parallel
-from .transforms import (
-    Euler,
-    Method,
-    Sbt,
-    SbtParams,
-    Tustin,
-    TustinPrewarp,
-    method_label,
-    prewarp_factor,
-)
+from .transforms import STABLE_ALPHA_MIN, Method, SbtParams, prewarp_factor, time_factors
 
 __all__ = [
     "QrParams",
@@ -59,11 +52,11 @@ class QrParams:
     omega_n: float
 
     def __post_init__(self):
-        if not self.kr > 0:
-            raise ParamError(f"kr must be positive, got {self.kr!r}")
-        if not 0 < self.omega_c < self.omega_n:
+        if not 0 < self.kr < math.inf:
+            raise ParamError(f"kr must be positive and finite, got {self.kr!r}")
+        if not 0 < self.omega_c < self.omega_n < math.inf:
             raise ParamError(
-                f"need 0 < omega_c < omega_n, got omega_c={self.omega_c!r} "
+                f"need 0 < omega_c < omega_n < inf, got omega_c={self.omega_c!r} "
                 f"omega_n={self.omega_n!r}"
             )
 
@@ -76,10 +69,10 @@ class PiParams:
     tau_i: float
 
     def __post_init__(self):
-        if not self.kp > 0:
-            raise ParamError(f"kp must be positive, got {self.kp!r}")
-        if not self.tau_i > 0:
-            raise ParamError(f"tau_i must be positive, got {self.tau_i!r}")
+        if not 0 < self.kp < math.inf:
+            raise ParamError(f"kp must be positive and finite, got {self.kp!r}")
+        if not 0 < self.tau_i < math.inf:
+            raise ParamError(f"tau_i must be positive and finite, got {self.tau_i!r}")
 
 
 @dataclass(frozen=True)
@@ -147,54 +140,29 @@ def pir_continuous(pi: PiParams, qr: QrParams) -> TransferFunction:
 
 
 def qr_discretize(p: QrParams, method: Method, T: float) -> BiquadCoeffs:
-    """Closed-form biquad for the resonant element under the given method."""
+    """Closed-form biquad for the resonant element under the given method.
+
+    One column covers every method: the scalable map with time factor
+    beta_c on the bandwidth terms and beta_n on the resonance terms, which
+    equals substituting the map (alpha, beta_c) into the plant with its
+    resonance scaled by beta_n/beta_c (see transforms.time_factors).
+    """
     kr, wc, wn = p.kr, p.omega_c, p.omega_n
-    if isinstance(method, Euler):
-        return BiquadCoeffs(
-            a2=2 * kr * wc * T,
-            a1=-2 * kr * wc * T,
-            a0=0.0,
-            b2=1 + 2 * wc * T + (wn * T) ** 2,
-            b1=-2 - 2 * wc * T,
-            b0=1.0,
+    al, bc, bn = time_factors(method, wn, T)
+    if al < STABLE_ALPHA_MIN:
+        warnings.warn(
+            f"alpha={al} below 0.5: discretized poles may leave the unit disk",
+            StabilityRangeWarning,
+            stacklevel=2,
         )
-    if isinstance(method, Tustin):
-        return BiquadCoeffs(
-            a2=kr * wc * T,
-            a1=0.0,
-            a0=-kr * wc * T,
-            b2=1 + wc * T + (0.5 * wn * T) ** 2,
-            b1=0.5 * (wn * T) ** 2 - 2,
-            b0=1 - wc * T + (0.5 * wn * T) ** 2,
-        )
-    if isinstance(method, TustinPrewarp):
-        kw = prewarp_factor(method.omega_n if method.omega_n is not None else wn, T)
-        # only the resonant frequency is pre-warped; the wc*T terms stay unscaled
-        return BiquadCoeffs(
-            a2=kr * wc * T,
-            a1=0.0,
-            a0=-kr * wc * T,
-            b2=1 + wc * T + (0.5 * kw * wn * T) ** 2,
-            b1=0.5 * (kw * wn * T) ** 2 - 2,
-            b0=1 - wc * T + (0.5 * kw * wn * T) ** 2,
-        )
-    if isinstance(method, Sbt):
-        al, be = method.params.alpha, method.params.beta
-        if not method.params.in_stable_range():
-            warnings.warn(
-                f"alpha={al} below 0.5: discretized poles may leave the unit disk",
-                StabilityRangeWarning,
-                stacklevel=2,
-            )
-        return BiquadCoeffs(
-            a2=2 * al * be * kr * wc * T,
-            a1=-(4 * al - 2) * be * kr * wc * T,
-            a0=-(2 - 2 * al) * be * kr * wc * T,
-            b2=1 + 2 * al * be * wc * T + (al * be * wn * T) ** 2,
-            b1=-2 - (4 * al - 2) * be * wc * T + 2 * al * (1 - al) * (be * wn * T) ** 2,
-            b0=1 - (2 - 2 * al) * be * wc * T + ((1 - al) * be * wn * T) ** 2,
-        )
-    raise ParamError(f"unknown method tag {method!r} ({method_label(method)})")
+    return BiquadCoeffs(
+        a2=2 * al * bc * kr * wc * T,
+        a1=-(4 * al - 2) * bc * kr * wc * T,
+        a0=-(2 - 2 * al) * bc * kr * wc * T,
+        b2=1 + 2 * al * bc * wc * T + (al * bn * wn * T) ** 2,
+        b1=-2 - (4 * al - 2) * bc * wc * T + 2 * al * (1 - al) * (bn * wn * T) ** 2,
+        b0=1 - (2 - 2 * al) * bc * wc * T + ((1 - al) * bn * wn * T) ** 2,
+    )
 
 
 def diff_eq_coeffs(c: BiquadCoeffs, tol: float = 1e-300) -> DiffEqCoeffs:

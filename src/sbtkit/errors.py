@@ -33,6 +33,10 @@ class OriginError(SbtkitError):
     """z = 0 has no finite logarithm, so no equivalent s-plane point."""
 
 
+class CrossCheckError(SbtkitError, ArithmeticError):
+    """Two independent numeric routes disagree, or a root fails its residual check."""
+
+
 class NormalizationError(SbtkitError):
     """Coefficient normalization would divide by (nearly) zero."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainMismatch, DegreeError, EmptyInput, ParamError, PoleHit
+from .errors import CrossCheckError, DomainMismatch, DegreeError, EmptyInput, ParamError, PoleHit
 
 __all__ = ["Polynomial", "TransferFunction", "parallel", "quadratic_roots"]
 
@@ -159,4 +159,4 @@ def _check_residual(p: Polynomial, roots) -> None:
         bound = 1e-9 * lead * max(1.0, abs(r)) ** 2
         # require |p(r)| small relative to the leading coefficient scale
         if abs(p(r)) > max(bound, 1e-9 * max(abs(c) for c in p.coeffs)):
-            raise ArithmeticError(f"root residual check failed at {r!r}: |p(r)|={abs(p(r)):.3e}")
+            raise CrossCheckError(f"root residual check failed at {r!r}: |p(r)|={abs(p(r)):.3e}")

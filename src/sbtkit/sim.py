@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -89,7 +89,7 @@ def run_difference_equation(coeffs, samples, guard: float = OVERFLOW_GUARD) -> n
         for r in runners:
             y += r.step(v)
         if not abs(y) < guard:
-            raise NumericOverflow(f"output {y!r} at sample {n} exceeds guard {guard:g}")
+            raise NumericOverflow(f"output {float(y)!r} at sample {n} exceeds guard {guard:g}")
         out[n] = y
     return out
 
@@ -131,6 +131,8 @@ def sine_steady_state(
     if settle_cycles < 0 or measure_cycles < 1:
         raise ParamError("settle_cycles must be >= 0 and measure_cycles >= 1")
     frac = _cycle_fraction(f, fs)
+    if frac == 0:
+        raise ParamError(f"f={f!r} is too low for fs={fs!r}: f/fs rounds to 0 at denominator 4096")
     cycles_per_chunk, samples_per_chunk = frac.numerator, frac.denominator
     chunks = max(1, math.ceil(measure_cycles / cycles_per_chunk))
     window = chunks * samples_per_chunk
@@ -224,6 +226,9 @@ class InverterConfig:
     include_cap_branch: bool = False
 
     def __post_init__(self):
+        values = [getattr(self, f.name) for f in fields(self)]
+        if not all(math.isfinite(v) for v in values):
+            raise ParamError("inverter constants must be finite")
         if self.l_filter <= 0 or self.fs_ctrl <= 0 or self.grid_freq <= 0:
             raise ParamError("l_filter, fs_ctrl and grid_freq must be positive")
         if self.duration * self.grid_freq < 20:
@@ -296,7 +301,7 @@ def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
         i_l += coef * (vb - v_grid[n])
         if not abs(i_l) < OVERFLOW_GUARD:
             raise NumericOverflow(
-                f"inductor current {i_l!r} at step {n} exceeds guard; "
+                f"inductor current {float(i_l)!r} at step {n} exceeds guard; "
                 "the discretized controller is likely unstable"
             )
     return SimTrace(t=t, i_grid=i_grid, v_grid=v_grid, v_inv=v_inv)
@@ -313,17 +318,36 @@ def trace_thd(trace: SimTrace, cfg: InverterConfig, periods: int = 10, max_harmo
     return thd(trace.i_grid[-n:], cfg.grid_freq, cfg.fs_ctrl, max_harmonic=max_harmonic)
 
 
-def write_trace_csv(trace: SimTrace, path: str) -> None:
-    """Write t,i_grid,v_grid,v_inv rows at full precision, atomically."""
+def csv_text(keys, rows) -> str:
+    """CSV text: a header line of keys, then one line per row of cells.
+
+    Strings are written as they are, None as an empty cell and numbers at
+    17 significant digits, so the values read back exactly.
+    """
+    lines = [",".join(keys)]
+    lines += [
+        ",".join(v if isinstance(v, str) else "" if v is None else format(v, ".17g") for v in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Replace the file at path by text in one step: write a temporary
+    sibling, then rename it over the target."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,i_grid,v_grid,v_inv\n")
-            for row in zip(trace.t, trace.i_grid, trace.v_grid, trace.v_inv):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_trace_csv(trace: SimTrace, path: str) -> None:
+    """Write t,i_grid,v_grid,v_inv rows at full precision, atomically."""
+    rows = zip(trace.t, trace.i_grid, trace.v_grid, trace.v_inv)
+    write_atomic(path, csv_text(("t", "i_grid", "v_grid", "v_inv"), rows))

@@ -48,6 +48,8 @@ __all__ = [
     "stability_circle",
     "is_stable_image",
     "substitute",
+    "METHODS",
+    "time_factors",
     "method_params",
     "method_label",
 ]
@@ -65,8 +67,8 @@ class SbtParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ParamError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not self.beta > 0.0:
-            raise ParamError(f"beta must be positive, got {self.beta!r}")
+        if not 0.0 < self.beta < math.inf:
+            raise ParamError(f"beta must be positive and finite, got {self.beta!r}")
 
     def in_stable_range(self) -> bool:
         """True when every stable s-plane pole maps inside the unit circle."""
@@ -228,35 +230,47 @@ def substitute(tf: TransferFunction, p: SbtParams, T: float) -> TransferFunction
     return TransferFunction(lift(tf.num), lift(tf.den), dt=T)
 
 
-def method_params(method: Method, omega_n: float, T: float) -> SbtParams:
-    """Resolve a method tag to its (alpha, beta) pair.
+METHODS = {"euler": Euler, "tustin": Tustin, "sota": TustinPrewarp, "sbt": Sbt}
+"""Method registry: short name to tag class, in the order tables list them."""
 
-    Backward difference is (1, 1), trapezoidal is (0.5, 1), pre-warped
-    trapezoidal is (0.5, prewarp_factor).  omega_n is the fallback design
-    frequency for a TustinPrewarp tag that does not carry its own.
+
+def time_factors(method: Method, omega_n: float, T: float) -> tuple[float, float, float]:
+    """Resolve a method tag to (alpha, beta_c, beta_n).
+
+    beta_c is the time factor on the bandwidth terms and beta_n the one on
+    the resonance terms of the resonant element.  Backward difference is
+    (1, 1, 1), trapezoidal is (0.5, 1, 1) and the scalable map is
+    (alpha, beta, beta).  Pre-warped trapezoidal is (0.5, 1, k_w): the
+    plain trapezoidal map applied to a plant whose resonance is scaled by
+    k_w = prewarp_factor.  omega_n is the fallback design frequency for a
+    TustinPrewarp tag that does not carry its own.
     """
-    if isinstance(method, Euler):
-        return SbtParams(1.0, 1.0)
-    if isinstance(method, Tustin):
-        return SbtParams(0.5, 1.0)
+    if isinstance(method, Sbt):
+        return method.params.alpha, method.params.beta, method.params.beta
     if isinstance(method, TustinPrewarp):
         wn = method.omega_n if method.omega_n is not None else omega_n
-        return SbtParams(0.5, prewarp_factor(wn, T))
+        return 0.5, 1.0, prewarp_factor(wn, T)
+    if isinstance(method, Euler):
+        return 1.0, 1.0, 1.0
+    if isinstance(method, Tustin):
+        return 0.5, 1.0, 1.0
+    raise ParamError(f"unknown method tag {method!r}")
+
+
+def method_params(method: Method, omega_n: float, T: float) -> SbtParams:
+    """Resolve a method tag to its (alpha, beta) pair, beta being the time
+    factor on the resonance (see time_factors)."""
     if isinstance(method, Sbt):
         return method.params
-    raise ParamError(f"unknown method tag {method!r}")
+    alpha, _, beta_n = time_factors(method, omega_n, T)
+    return SbtParams(alpha, beta_n)
 
 
 def method_label(method: Method) -> str:
     """Short lower-case name used in tables and CLI output."""
-    if isinstance(method, Euler):
-        return "euler"
-    if isinstance(method, Tustin):
-        return "tustin"
-    if isinstance(method, TustinPrewarp):
-        return "sota"
-    if isinstance(method, Sbt):
-        return "sbt"
+    for name, tag in METHODS.items():
+        if isinstance(method, tag):
+            return name
     raise ParamError(f"unknown method tag {method!r}")
 
 

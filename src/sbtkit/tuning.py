@@ -16,9 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import FrequencyGrid, default_rmse_grid, _response_arrays
+from .analysis import FrequencyGrid, complex_response, default_rmse_grid, _response_arrays
 from .controllers import QrParams, qr_continuous, qr_discretize, sbt_params_straightforward
-from .errors import ParamError, UnstableWarning
+from .errors import DomainError, ParamError, UnstableWarning
 from .lti import Polynomial, quadratic_roots
 from .transforms import Sbt, SbtParams, equivalent_s_from_z, z_from_s
 
@@ -142,10 +142,8 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
         mag_d, _, _ = _response_arrays(disc, freqs)
         err = mag_a - mag_d
     else:
-        x_a = 1j * 2.0 * math.pi * freqs
-        z = np.exp(1j * 2.0 * math.pi * freqs * T)
-        ha = qr_continuous(p).num(x_a) / qr_continuous(p).den(x_a)
-        hd = disc.num(z) / disc.den(z)
+        ha, _ = complex_response(qr_continuous(p), freqs)
+        hd, _ = complex_response(disc, freqs)
         err = np.abs(ha) - np.abs(hd)
     if cfg.weights is not None:
         w = np.asarray(cfg.weights)
@@ -172,7 +170,8 @@ def optimize_alpha_beta(
     cell.  Stage two alternates golden-section steps on alpha and beta in a
     bracket spanning the coarse neighbors of the best cell.  The best point
     ever evaluated is returned, so the result never loses to the
-    straightforward design it is meant to improve on.
+    straightforward design it is meant to improve on.  DomainError is
+    raised when no evaluated pair gives a finite loss.
     """
     if loss_cfg is None:
         loss_cfg = LossConfig()
@@ -234,6 +233,8 @@ def optimize_alpha_beta(
             else:
                 b_left, cur_b = y1, y2
 
+    if best["alpha"] is None:
+        raise DomainError("no (alpha, beta) in the box gives a finite loss")
     return OptimizeResult(
         alpha=best["alpha"],
         beta=best["beta"],

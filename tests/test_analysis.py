@@ -277,3 +277,48 @@ def test_warp_is_always_downward():
     rows = {r.label: r for r in pole_map_table(p, T)}
     assert rows["tustin"].equivalent_s.imag < p.omega_n
     assert rows["sota"].equivalent_s.imag == pytest.approx(p.omega_n, rel=1e-6)
+
+
+@pytest.mark.parametrize("x", [2000.0, 5000.0, 6100.0, 2 * math.pi * 1000.0, 15000.0])
+def test_pole_map_prewarp_at_other_frequency(x):
+    # pre-warping at x != omega_n: the row maps the plant pole with its
+    # resonance scaled by the factor at x, matching the coefficient column
+    rows = pole_map_table(BOARD, T, [TustinPrewarp(omega_n=x)])
+    assert [r.label for r in rows] == ["exact", "sota"]
+    k = sbtkit.prewarp_factor(x, T)
+    den = qr_discretize(BOARD, TustinPrewarp(omega_n=x), T)
+    root_hi, _ = sbtkit.quadratic_roots(sbtkit.Polynomial([den.b0, den.b1, den.b2]))
+    assert abs(rows[1].mapped_z - root_hi) < 1e-12
+    src = complex(-WC, math.sqrt((k * WN) ** 2 - WC**2))
+    assert rows[1].mapped_z == sbtkit.z_from_s(src, SbtParams(0.5, 1.0), T)
+
+
+def test_pole_map_cross_check_error_type():
+    with pytest.raises(sbtkit.CrossCheckError) as exc:
+        pole_map_table(BOARD, T, consistency_tol=-1.0)
+    assert isinstance(exc.value, sbtkit.SbtkitError)
+    assert isinstance(exc.value, ArithmeticError)
+
+
+def test_complex_response_matches_pointwise_evaluation():
+    freqs = np.array([100.0, 950.0, 5000.0])
+    disc = qr_discretize(BOARD, Tustin(), T).to_transfer(T)
+    for tf, x in ((qr_continuous(BOARD), 2j * math.pi * freqs),
+                  (disc, np.exp(2j * math.pi * freqs * T))):
+        h, hit = sbtkit.complex_response(tf, freqs)
+        assert not hit.any()
+        assert h == pytest.approx([tf(complex(v)) for v in x], rel=1e-13)
+    with pytest.raises(DomainError):
+        sbtkit.complex_response(disc, np.array([10000.0]))
+
+
+def test_grid_rejects_non_finite_points():
+    for pts in ((math.nan,), (100.0, math.inf), (math.inf,)):
+        with pytest.raises(ParamError):
+            FrequencyGrid.explicit(pts)
+
+
+@pytest.mark.parametrize("f_lo, f_hi", [(1.0, 0.0), (1.0, -5.0), (0.0, 10.0)])
+def test_logarithmic_grid_rejects_non_positive_edge(f_lo, f_hi):
+    with pytest.raises(ParamError):
+        FrequencyGrid.logarithmic(f_lo, f_hi, 3)

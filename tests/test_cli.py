@@ -275,3 +275,128 @@ def test_seventeen_digit_serialization(capsys):
         complex(0, 2 * 59.1 * 17.907 * 2 * math.pi * 950)
         / complex(5969.0**2 - (2 * math.pi * 950) ** 2, 2 * 17.907 * 2 * math.pi * 950)
     )), rel=1e-12)
+
+
+def run_err(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_exit_code_zero_sample_rate(capsys):
+    code, out, err = run_err(capsys, "discretize", "--fs", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: fs must be positive")
+
+
+@pytest.mark.parametrize("flag", ["--kr", "--wn"])
+def test_exit_code_non_finite_constant(capsys, flag):
+    code, out, _ = run_err(capsys, "discretize", flag, "inf", "--format", "json")
+    assert code == 2
+    assert out == ""
+
+
+def test_exit_code_non_finite_beta(capsys):
+    code, _, _ = run_err(capsys, "discretize", "--method", "sbt", "--beta", "inf")
+    assert code == 2
+
+
+def test_exit_code_empty_grid_spec(capsys):
+    code, _, err = run_err(capsys, "bode", "--grid", "10:9500:0")
+    assert code == 2
+    assert "at least one point" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rmse", "--grid", "900:1000:1.5"),
+    ("bode", "--grid", "a:1000:5"),
+    ("optimize", "--alpha-range", "a:b"),
+    ("simulate", "inverter", "--duration", "nan"),
+])
+def test_exit_code_unparsable_or_non_finite_argument(capsys, argv):
+    code, _, err = run_err(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_exit_code_config_value_not_a_number(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kr": "59.1"}))
+    code, _, _ = run_err(capsys, "discretize", "--config", str(cfg))
+    assert code == 2
+
+
+def test_exit_code_float_range_error(capsys):
+    # (wn*T)**2 overflows a double: a math error, not a traceback
+    code, _, err = run_err(capsys, "discretize", "--method", "euler", "--wn", "1e200")
+    assert code == 3
+    assert err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_json_writes_non_finite_as_null(capsys):
+    code, out, _ = run_err(capsys, "bode", "--kr", "1e308", "--grid", "940:960:3",
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out, parse_constant=lambda tok: pytest.fail(f"{tok} in JSON"))
+    assert rows[0]["f_hz"] == 940.0
+    assert rows[0]["mag_db"] is None
+
+
+@pytest.mark.filterwarnings("ignore::sbtkit.StabilityRangeWarning")
+def test_overflow_message_prints_plain_float(capsys):
+    code, _, err = run_err(capsys, "simulate", "inverter", "--method", "sbt",
+                           "--alpha", "0.05")
+    assert code == 4
+    assert "np.float64" not in err
+    assert "inductor current 1004106346892.7085 at step 8213" in err
+
+
+def test_optimize_csv_is_one_row(capsys):
+    code, out = run(capsys, "optimize", "--coarse", "3", "--iters", "1",
+                    "--beta-range", "0.9:0.95", "--format", "csv")
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 1
+    assert rows[0]["straightforward_loss"] == ""
+    assert int(rows[0]["evaluations"]) == 13  # 3x3 coarse cells, one 4-point refine
+    assert float(rows[0]["loss_value"]) > 0
+
+
+def test_inverter_unknown_method_rejected_before_running(tmp_path, capsys):
+    code, _, err = run_err(capsys, "simulate", "inverter", "--method", "pi,simpson",
+                           "--trace-dir", str(tmp_path))
+    assert code == 2
+    assert "simpson" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_exit_code_optimize_without_finite_loss(capsys, fmt):
+    code, out, err = run_err(capsys, "optimize", "--kr", "1e308", "--coarse", "3",
+                             "--iters", "1", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert "finite loss" in err
+
+
+@pytest.mark.parametrize("f", ["0.1", "2"])
+def test_exit_code_board_drive_too_slow_for_window(capsys, f):
+    # f/fs rounds to 0 cycles per sample: a bad argument, not a division error
+    code, out, err = run_err(capsys, "simulate", "board", "--f", f)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: f={float(f)!r} is too low")
+
+
+def test_pole_map_without_prewarp_row_ignores_prewarp_domain(capsys):
+    # omega_n*T/2 is beyond pi/2 at 1 kHz, but no requested row pre-warps
+    code, out = run(capsys, "pole-map", "--methods", "exact,euler,tustin", "--fs", "1000",
+                    "--format", "csv")
+    assert code == 0
+    assert [r["method"] for r in parse_csv(out)] == ["exact", "euler", "tustin"]
+    code, _, err = run_err(capsys, "pole-map", "--fs", "1000")
+    assert code == 3
+    assert "outside (0, pi/2)" in err

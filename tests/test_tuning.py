@@ -161,3 +161,13 @@ def test_random_instances_have_finite_nonnegative_loss():
         Ts = rng.uniform(2e-5, 1e-4)
         val = q_loss(rng.uniform(0.5, 1.0), rng.uniform(0.9, 1.1), p, Ts)
         assert math.isfinite(val) and val >= 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_optimizer_rejects_a_box_without_finite_loss():
+    from sbtkit import DomainError
+
+    huge = QrParams(1e308, WC, WN)
+    assert not math.isfinite(q_loss(0.5, 1.0, huge, T))
+    with pytest.raises(DomainError):
+        optimize_alpha_beta(huge, T, search_cfg=SearchConfig(coarse_points=3, refine_iters=1))
