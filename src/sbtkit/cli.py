@@ -241,13 +241,7 @@ def cmd_pole_map(args) -> int:
     return _emit(args, rows, ["method", "z_re", "z_im", "sigma", "omega"], table)
 
 
-def cmd_simulate(args) -> int:
-    if args.scenario == "board":
-        return _simulate_board(args)
-    return _simulate_inverter(args)
-
-
-def _simulate_board(args) -> int:
+def cmd_simulate_board(args) -> int:
     p, T = _qr(args)
     fs = 1.0 / T
     rows = []
@@ -285,25 +279,17 @@ def _simulate_board(args) -> int:
     return _emit(args, rows, list(rows[0]), table)
 
 
-def _write_board_trace(coeffs, f: float, fs: float, amp: float, path: str,
-                       cycles: int = 20) -> None:
-    n = int(round(cycles * fs / f))
+def _write_board_trace(coeffs, f: float, fs: float, amp: float, path: str) -> None:
+    n = int(round(20 * fs / f))  # 20 drive cycles
     idx = list(range(n))
     x = [amp * math.sin(2 * math.pi * f * k / fs) for k in idx]
     y = sim.run_difference_equation(coeffs, x)
     sim.write_atomic(path, sim.csv_text(("t", "x", "y"), ((k / fs, x[k], y[k]) for k in idx)))
 
 
-def _simulate_inverter(args) -> int:
+def cmd_simulate_inverter(args) -> int:
     c = _constants(args)
-    cfg = sim.InverterConfig(
-        fs_ctrl=args.fs_ctrl,
-        harmonic_amp=args.harmonic_amp,
-        harmonic_freq=args.harmonic_freq,
-        i_ref_amplitude=args.i_ref,
-        delay_samples=args.delay_samples,
-        duration=args.duration,
-    )
+    cfg = sim.InverterConfig(**{field: getattr(args, field) for _, field, _ in INVERTER_FLAGS})
     T = 1.0 / cfg.fs_ctrl
     p = controllers.QrParams(c["kr_inv"], c["wc"], c["wn"])
     pi = controllers.PiParams(c["kp"], c["tau_i"])
@@ -369,13 +355,25 @@ def _parse_range(spec: str) -> tuple[float, float]:
         raise ParamError(f"range {spec!r}: {exc}") from exc
 
 
-def _add_common(sp, with_grid: bool = False) -> None:
-    sp.add_argument("--kr", type=float, default=None, help="resonant gain")
-    sp.add_argument("--wc", type=float, default=None, help="bandwidth, rad/s")
-    sp.add_argument("--wn", type=float, default=None, help="resonant frequency, rad/s")
-    sp.add_argument("--fs", type=float, default=None, help="sample rate, Hz")
-    sp.add_argument("--alpha", type=float, default=None, help="shape factor for sbt")
-    sp.add_argument("--beta", type=float, default=None, help="time factor for sbt")
+CONSTANT_HELP = {
+    "--kr": "resonant gain", "--wc": "bandwidth, rad/s", "--wn": "resonant frequency, rad/s",
+    "--fs": "sample rate, Hz", "--alpha": "shape factor for sbt", "--beta": "time factor for sbt",
+}
+
+# simulate inverter flag, the InverterConfig field that gives its default, help
+INVERTER_FLAGS = (
+    ("--fs-ctrl", "fs_ctrl", "control rate, Hz"),
+    ("--harmonic-amp", "harmonic_amp", "injected grid harmonic amplitude, V"),
+    ("--harmonic-freq", "harmonic_freq", "injected grid harmonic, Hz"),
+    ("--i-ref", "i_ref_amplitude", "reference amplitude, A"),
+    ("--delay-samples", "delay_samples", "bridge command delay, control samples"),
+    ("--duration", "duration", "seconds"),
+)
+
+
+def _add_common(sp, constants=tuple(CONSTANT_HELP), with_grid: bool = False) -> None:
+    for flag in constants:
+        sp.add_argument(flag, type=float, default=None, help=CONSTANT_HELP[flag])
     sp.add_argument("--config", default=None, help="JSON file with constants")
     sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
     sp.add_argument("--output", default=None, help="write here instead of stdout")
@@ -391,57 +389,68 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sbtkit",
         description="Discretize, compare and simulate resonant current controllers.",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("discretize", help="closed-form biquad coefficients")
+    def command(parent, name, text):
+        # a prefix must not stand for a flag: --fs is not --fs-ctrl
+        return parent.add_parser(name, help=text, allow_abbrev=False)
+
+    sp = command(sub, "discretize", "closed-form biquad coefficients")
     _add_common(sp)
     sp.add_argument("--method", "--methods", default=METHOD_NAMES)
     sp.add_argument("--diffeq", action="store_true", help="also print normalized update coefficients")
     sp.set_defaults(func=cmd_discretize)
 
-    sp = sub.add_parser("bode", help="magnitude and phase over a grid")
+    sp = command(sub, "bode", "magnitude and phase over a grid")
     _add_common(sp, with_grid=True)
     sp.add_argument("--method", default="analog", help="analog, euler, tustin, sota or sbt")
     sp.set_defaults(func=cmd_bode)
 
-    sp = sub.add_parser("error", help="analog minus discrete magnitude error")
+    sp = command(sub, "error", "analog minus discrete magnitude error")
     _add_common(sp, with_grid=True)
     sp.add_argument("--method", default="sbt")
     sp.set_defaults(func=cmd_error)
 
-    sp = sub.add_parser("rmse", help="magnitude error RMSE per method")
+    sp = command(sub, "rmse", "magnitude error RMSE per method")
     _add_common(sp, with_grid=True)
     sp.add_argument("--method", "--methods", default=METHOD_NAMES)
     sp.set_defaults(func=cmd_rmse)
 
-    sp = sub.add_parser("pole-map", help="pole landing table")
+    sp = command(sub, "pole-map", "pole landing table")
     _add_common(sp)
     sp.add_argument("--method", "--methods", default="exact," + METHOD_NAMES)
     sp.set_defaults(func=cmd_pole_map)
 
-    sp = sub.add_parser("simulate", help="steady-state sine test or inverter loop")
+    scenario = command(sub, "simulate", "steady-state sine test or inverter loop")
+    scenarios = scenario.add_subparsers(dest="scenario", required=True)
+
+    sp = command(scenarios, "board", "steady-state sine response of each method")
     _add_common(sp)
-    sp.add_argument("scenario", choices=("board", "inverter"))
-    sp.add_argument("--method", "--methods", default=METHOD_NAMES,
-                    help="inverter also accepts pi")
-    sp.add_argument("--f", type=float, default=950.0, help="board drive frequency, Hz")
-    sp.add_argument("--amp", type=float, default=1.0, help="board drive amplitude")
+    sp.add_argument("--method", "--methods", default=METHOD_NAMES)
+    sp.add_argument("--f", type=float, default=950.0, help="drive frequency, Hz")
+    sp.add_argument("--amp", type=float, default=1.0, help="drive amplitude")
     sp.add_argument("--settle-cycles", type=int, default=1200,
                     help="high-Q discrete resonators ring for hundreds of cycles")
     sp.add_argument("--measure-cycles", type=int, default=50)
-    sp.add_argument("--fs-ctrl", type=float, default=40000.0, help="inverter control rate, Hz")
-    sp.add_argument("--harmonic-amp", type=float, default=100.0)
-    sp.add_argument("--harmonic-freq", type=float, default=950.0)
-    sp.add_argument("--i-ref", type=float, default=30.0, help="reference amplitude, A")
-    sp.add_argument("--delay-samples", type=int, default=1)
-    sp.add_argument("--duration", type=float, default=1.0, help="seconds")
+    sp.add_argument("--trace-dir", default=None, help="write per-method trace CSVs here")
+    sp.set_defaults(func=cmd_simulate_board)
+
+    sp = command(scenarios, "inverter", "closed current loop with a grid harmonic, THD")
+    # the loop runs at 1/--fs-ctrl with the gain kr_inv, set only through --config
+    _add_common(sp, constants=("--wc", "--wn", "--alpha", "--beta"))
+    sp.add_argument("--method", "--methods", default=METHOD_NAMES, help="also accepts pi")
+    defaults = sim.InverterConfig()
+    for flag, field, text in INVERTER_FLAGS:
+        value = getattr(defaults, field)
+        sp.add_argument(flag, dest=field, type=type(value), default=value, help=text)
     sp.add_argument("--periods", type=int, default=10, help="grid periods measured for THD")
     sp.add_argument("--trace-dir", default=None, help="write per-method trace CSVs here")
-    sp.set_defaults(func=cmd_simulate)
+    sp.set_defaults(func=cmd_simulate_inverter)
 
-    sp = sub.add_parser("optimize", help="search (alpha, beta) minimizing a loss")
-    _add_common(sp, with_grid=True)
+    sp = command(sub, "optimize", "search (alpha, beta) minimizing a loss")
+    _add_common(sp, constants=("--kr", "--wc", "--wn", "--fs"), with_grid=True)
     sp.add_argument("--loss", choices=("mag-rmse-db", "mag-rmse-linear", "pole-distance"),
                     default="mag-rmse-db")
     sp.add_argument("--alpha-range", default="0.5:1.0")
@@ -464,8 +473,12 @@ def main(argv=None) -> int:
     except NumericOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (SbtkitError, OverflowError) as exc:
+    except SbtkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError:
+        values = ", ".join(f"{k}={v!r}" for k, v in _constants(args).items())
+        print(f"error: double-precision overflow with {values}", file=sys.stderr)
         return 3
 
 

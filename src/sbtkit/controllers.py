@@ -165,9 +165,9 @@ def qr_discretize(p: QrParams, method: Method, T: float) -> BiquadCoeffs:
     )
 
 
-def diff_eq_coeffs(c: BiquadCoeffs, tol: float = 1e-300) -> DiffEqCoeffs:
+def diff_eq_coeffs(c: BiquadCoeffs) -> DiffEqCoeffs:
     """Divide the biquad through by b2 for the recursive update."""
-    if abs(c.b2) < tol:
+    if abs(c.b2) < 1e-300:
         raise NormalizationError(f"|b2| = {abs(c.b2):.3e} too small to normalize")
     return DiffEqCoeffs(
         kin0=c.a2 / c.b2,

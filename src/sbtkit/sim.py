@@ -77,7 +77,7 @@ def _as_legs(coeffs) -> list[DiffEqCoeffs]:
     return legs
 
 
-def run_difference_equation(coeffs, samples, guard: float = OVERFLOW_GUARD) -> np.ndarray:
+def run_difference_equation(coeffs, samples) -> np.ndarray:
     """Run one leg (or the sum of several parallel legs) over an input array."""
     runners = [DiffEqRunner(c) for c in _as_legs(coeffs)]
     x = np.asarray(samples, dtype=float)
@@ -88,8 +88,8 @@ def run_difference_equation(coeffs, samples, guard: float = OVERFLOW_GUARD) -> n
         y = 0.0
         for r in runners:
             y += r.step(v)
-        if not abs(y) < guard:
-            raise NumericOverflow(f"output {float(y)!r} at sample {n} exceeds guard {guard:g}")
+        if not abs(y) < OVERFLOW_GUARD:
+            raise NumericOverflow(f"output {float(y)!r} at sample {n} exceeds guard {OVERFLOW_GUARD:g}")
         out[n] = y
     return out
 
@@ -205,15 +205,9 @@ def thd(samples, f0: float, fs: float, max_harmonic: int = 50) -> float:
 
 @dataclass(frozen=True)
 class InverterConfig:
-    """Grid-tied inverter scenario constants.
-
-    c_filter participates only when include_cap_branch is set, in which
-    case the analytic capacitor current of the stiff grid voltage is
-    subtracted from the measured (and regulated) grid current.
-    """
+    """Grid-tied inverter scenario constants."""
 
     l_filter: float = 245e-6
-    c_filter: float = 22e-6
     fs_ctrl: float = 40000.0
     grid_freq: float = 50.0
     grid_vrms: float = 220.0
@@ -222,8 +216,6 @@ class InverterConfig:
     i_ref_amplitude: float = 30.0
     delay_samples: int = 1
     duration: float = 1.0
-    i_initial: float = 0.0
-    include_cap_branch: bool = False
 
     def __post_init__(self):
         values = [getattr(self, f.name) for f in fields(self)]
@@ -270,23 +262,18 @@ def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
     w1 = 2.0 * math.pi * cfg.grid_freq
     wh = 2.0 * math.pi * cfg.harmonic_freq
     a1 = math.sqrt(2.0) * cfg.grid_vrms
-    ah = cfg.harmonic_amp
-    cap = cfg.c_filter if cfg.include_cap_branch else 0.0
 
     t = np.arange(steps) * T
-    v_grid = a1 * np.sin(w1 * t) + ah * np.sin(wh * t)
+    v_grid = a1 * np.sin(w1 * t) + cfg.harmonic_amp * np.sin(wh * t)
     i_ref = cfg.i_ref_amplitude * np.sin(w1 * t)
-    # analytic capacitor current of the stiff grid voltage (zero when disabled)
-    i_cap = cap * (a1 * w1 * np.cos(w1 * t) + ah * wh * np.cos(wh * t))
 
     i_grid = np.empty(steps)
     v_inv = np.empty(steps)
     delay = [0.0] * cfg.delay_samples
-    i_l = cfg.i_initial
+    i_l = 0.0
     coef = T / cfg.l_filter
     for n in range(steps):
-        meas = i_l - i_cap[n]
-        err = i_ref[n] - meas
+        err = i_ref[n] - i_l
         u = 0.0
         for leg in legs:
             u += leg.step(err)
@@ -296,7 +283,7 @@ def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
             vb = delay.pop(0)
         else:
             vb = cmd
-        i_grid[n] = meas
+        i_grid[n] = i_l
         v_inv[n] = vb
         i_l += coef * (vb - v_grid[n])
         if not abs(i_l) < OVERFLOW_GUARD:
@@ -307,7 +294,7 @@ def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
     return SimTrace(t=t, i_grid=i_grid, v_grid=v_grid, v_inv=v_inv)
 
 
-def trace_thd(trace: SimTrace, cfg: InverterConfig, periods: int = 10, max_harmonic: int = 50) -> float:
+def trace_thd(trace: SimTrace, cfg: InverterConfig, periods: int = 10) -> float:
     """Distortion of the trailing ``periods`` grid periods of the trace."""
     per_samples = cfg.fs_ctrl / cfg.grid_freq
     n = round(periods * per_samples)
@@ -315,7 +302,7 @@ def trace_thd(trace: SimTrace, cfg: InverterConfig, periods: int = 10, max_harmo
         raise WindowError("fs_ctrl/grid_freq does not give whole samples per period")
     if n > len(trace.i_grid):
         raise WindowError("trace shorter than the requested measurement window")
-    return thd(trace.i_grid[-n:], cfg.grid_freq, cfg.fs_ctrl, max_harmonic=max_harmonic)
+    return thd(trace.i_grid[-n:], cfg.grid_freq, cfg.fs_ctrl)
 
 
 def csv_text(keys, rows) -> str:

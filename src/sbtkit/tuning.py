@@ -157,6 +157,15 @@ def _axis_points(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _golden_step(lo: float, hi: float, f) -> tuple[float, float, float]:
+    """Golden-section step on [lo, hi], f at the lower point first: (new lo, new hi, better point)."""
+    x1 = hi - (hi - lo) * _INVPHI
+    x2 = lo + (hi - lo) * _INVPHI
+    if f(x1) <= f(x2):
+        return lo, x2, x1
+    return x1, hi, x2
+
+
 def optimize_alpha_beta(
     p: QrParams,
     T: float,
@@ -215,23 +224,13 @@ def optimize_alpha_beta(
 
     for _ in range(search_cfg.refine_iters):
         if a_right > a_left:
-            x1 = a_right - (a_right - a_left) * _INVPHI
-            x2 = a_left + (a_right - a_left) * _INVPHI
-            f1 = evaluate("refine-alpha", x1, cur_b)
-            f2 = evaluate("refine-alpha", x2, cur_b)
-            if f1 <= f2:
-                a_right, cur_a = x2, x1
-            else:
-                a_left, cur_a = x1, x2
+            a_left, a_right, cur_a = _golden_step(
+                a_left, a_right, lambda a: evaluate("refine-alpha", a, cur_b)
+            )
         if b_right > b_left:
-            y1 = b_right - (b_right - b_left) * _INVPHI
-            y2 = b_left + (b_right - b_left) * _INVPHI
-            g1 = evaluate("refine-beta", cur_a, y1)
-            g2 = evaluate("refine-beta", cur_a, y2)
-            if g1 <= g2:
-                b_right, cur_b = y2, y1
-            else:
-                b_left, cur_b = y1, y2
+            b_left, b_right, cur_b = _golden_step(
+                b_left, b_right, lambda b: evaluate("refine-beta", cur_a, b)
+            )
 
     if best["alpha"] is None:
         raise DomainError("no (alpha, beta) in the box gives a finite loss")

@@ -400,3 +400,45 @@ def test_pole_map_without_prewarp_row_ignores_prewarp_domain(capsys):
     code, _, err = run_err(capsys, "pole-map", "--fs", "1000")
     assert code == 3
     assert "outside (0, pi/2)" in err
+
+
+IGNORED_BEFORE = [
+    ("simulate", "board", flag) for flag in (
+        "--fs-ctrl", "--harmonic-amp", "--harmonic-freq", "--i-ref", "--delay-samples",
+        "--duration", "--periods",
+    )
+] + [
+    ("simulate", "inverter", flag) for flag in (
+        "--kr", "--fs", "--f", "--amp", "--settle-cycles", "--measure-cycles",
+    )
+] + [("optimize", flag) for flag in ("--alpha", "--beta")]
+
+
+@pytest.mark.parametrize("argv", IGNORED_BEFORE, ids=" ".join)
+def test_flag_the_command_does_not_read_is_rejected(capsys, argv):
+    # these used to parse and leave the printed result at its default
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv) + ["5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-1]} 5" in captured.err
+
+
+def test_removed_flag_is_not_taken_as_a_prefix(tmp_path, capsys):
+    # without prefix matching off, --fs would run the loop at --fs-ctrl 1000
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "inverter", "--fs", "1000", "--trace-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fs 1000" in captured.err
+    assert "harmonic_freq" not in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_float_range_error_names_the_resolved_constants(capsys):
+    code, out, err = run_err(capsys, "discretize", "--method", "euler", "--wn", "1e200")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: double-precision overflow")
+    assert "wn=1e+200" in err

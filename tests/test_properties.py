@@ -1,5 +1,6 @@
 """Property tests: the one coefficient column against direct substitution
-and the pole map, and fuzzed CLI flags against the exit-code contract."""
+and the pole map, the map against its inverse and its stability circle,
+and fuzzed CLI flags against the exit-code contract."""
 
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from sbtkit import (
     METHODS,
+    MapSingularity,
     Polynomial,
     QrParams,
     Sbt,
@@ -20,8 +22,11 @@ from sbtkit import (
     qr_continuous,
     qr_discretize,
     quadratic_roots,
+    s_from_z,
+    stability_circle,
     substitute,
     time_factors,
+    z_from_s,
 )
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -63,6 +68,32 @@ def test_one_column_equals_substitution_and_pole_image(design):
     root_hi, _ = quadratic_roots(Polynomial([biq.b0, biq.b1, biq.b2]))
     mapped = pole_map_table(p, T, [method])[1].mapped_z
     assert abs(root_hi - mapped) <= 1e-10
+
+
+def _s_plane(bound, sigma_max):
+    return st.builds(complex, st.floats(-bound, sigma_max), st.floats(-bound, bound))
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0), st.floats(0.5, 2.0), st.floats(1e-5, 1e-3), _s_plane(100.0, 100.0))
+def test_inverse_map_undoes_the_map(alpha, beta, T, s_unit):
+    # s in units of 1/(beta*T): far out, z nears the inverse-map singularity
+    # and the round trip loses about beta*T*|s| ulps, the map's own conditioning
+    s = s_unit / (beta * T)
+    p = SbtParams(alpha, beta)
+    try:
+        back = s_from_z(z_from_s(s, p, T), p, T)
+    except MapSingularity:
+        return
+    assert abs(back - s) <= 1e-12 * max(abs(s), 1.0 / (beta * T))
+
+
+@PROPERTY
+@given(st.floats(0.5, 1.0), st.floats(0.5, 2.0), st.floats(1e-5, 1e-3), _s_plane(1e7, 0.0))
+def test_left_half_plane_lands_in_the_stability_circle(alpha, beta, T, s):
+    z = z_from_s(s, SbtParams(alpha, beta), T)
+    assert stability_circle(alpha).contains(z, tol=1e-12)
+    assert abs(z) <= 1.0 + 1e-12
 
 
 def _number():
