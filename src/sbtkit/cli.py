@@ -103,6 +103,15 @@ def _qr(args) -> tuple[controllers.QrParams, float]:
     return controllers.QrParams(c["kr"], c["wc"], c["wn"]), 1.0 / c["fs"]
 
 
+def _discretize(p: controllers.QrParams, m, T: float) -> controllers.BiquadCoeffs:
+    """qr_discretize for a command: a coefficient that overflowed to inf or
+    nan raises OverflowError, which main reports as exit 3."""
+    biq = controllers.qr_discretize(p, m, T)
+    if not all(math.isfinite(v) for v in asdict(biq).values()):
+        raise OverflowError("a discretized coefficient is not finite")
+    return biq
+
+
 def _resolve_method(name: str, p: controllers.QrParams, T: float, args):
     tag = transforms.METHODS.get(name)
     if tag is None:
@@ -160,7 +169,7 @@ def cmd_discretize(args) -> int:
     p, T = _qr(args)
     rows = []
     for m in _method_list(args.method, p, T, args):
-        biq = controllers.qr_discretize(p, m, T)
+        biq = _discretize(p, m, T)
         row = {"method": transforms.method_label(m), **asdict(biq)}
         if args.diffeq:
             row.update(asdict(controllers.diff_eq_coeffs(biq)))
@@ -180,7 +189,7 @@ def cmd_bode(args) -> int:
         tf = controllers.qr_continuous(p)
     else:
         m = _resolve_method(name, p, T, args)
-        tf = controllers.qr_discretize(p, m, T).to_transfer(T)
+        tf = _discretize(p, m, T).to_transfer(T)
     rows = [
         {"f_hz": q.f_hz, "mag_db": q.mag_db, "phase_deg": q.phase_deg}
         for q in analysis.freq_response(tf, grid)
@@ -192,7 +201,7 @@ def cmd_error(args) -> int:
     p, T = _qr(args)
     grid = _grid_from_args(args, analysis.default_bode_grid)
     m = _resolve_method(args.method, p, T, args)
-    disc = controllers.qr_discretize(p, m, T).to_transfer(T)
+    disc = _discretize(p, m, T).to_transfer(T)
     curve = analysis.magnitude_error_curve(controllers.qr_continuous(p), disc, grid)
     return _emit(args, [{"f_hz": f, "err_db": e} for f, e in curve], ["f_hz", "err_db"])
 
@@ -204,7 +213,7 @@ def cmd_rmse(args) -> int:
     analog = controllers.qr_continuous(p)
     values = {}
     for m in methods:
-        disc = controllers.qr_discretize(p, m, T).to_transfer(T)
+        disc = _discretize(p, m, T).to_transfer(T)
         values[transforms.method_label(m)] = analysis.rmse(
             analysis.magnitude_error_curve(analog, disc, grid)
         )
@@ -247,7 +256,7 @@ def cmd_simulate_board(args) -> int:
     rows = []
     for m in _method_list(args.method, p, T, args):
         label = transforms.method_label(m)
-        biq = controllers.qr_discretize(p, m, T)
+        biq = _discretize(p, m, T)
         coeffs = controllers.diff_eq_coeffs(biq)
         res = sim.sine_steady_state(
             coeffs, args.f, fs, amp=args.amp,

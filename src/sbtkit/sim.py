@@ -1,6 +1,12 @@
 """Time-domain execution: difference equations, steady-state sine
 measurements, spectral distortion, and the grid-tied inverter loop.
 
+Both runners simulate every sample.  A linear system whose powers are
+shown to decay runs as a block state-space recursion in numpy; any other
+system (every one with spectral radius at least one), and any run whose
+block output leaves OVERFLOW_GUARD, runs through the per-step loop from
+sample 0, which raises the overflow error at the exact step.
+
 The inverter model is the average model of an L-filtered bridge: the
 controller runs at the control rate, its output voltage command is
 applied after an integer sample delay together with a grid-voltage
@@ -44,6 +50,10 @@ __all__ = [
 ]
 
 OVERFLOW_GUARD = 1e12
+# samples per block of the block state-space runner
+BLOCK = 256
+# most samples one run may ask for (about 105 s at the 40 kHz control rate)
+MAX_SAMPLES = 2**22
 
 
 class DiffEqRunner:
@@ -77,12 +87,89 @@ def _as_legs(coeffs) -> list[DiffEqCoeffs]:
     return legs
 
 
-def run_difference_equation(coeffs, samples) -> np.ndarray:
-    """Run one leg (or the sum of several parallel legs) over an input array."""
-    runners = [DiffEqRunner(c) for c in _as_legs(coeffs)]
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise EmptyInput("no input samples")
+def _decays(A) -> bool:
+    """Whether some power A^(2^j), j <= 20, has every absolute row sum at
+    most 1/2, which proves the spectral radius of A below one.  No A with
+    radius >= 1 or a non-finite entry passes, nor a stable A too slow to
+    halve within 2^20 steps."""
+    power = A
+    for _ in range(21):
+        if np.abs(power).sum(axis=1).max() <= 0.5:
+            return True
+        power = power @ power
+    return False
+
+
+def _block_lti(A, B, C, D, inputs):
+    """Response of s[n+1] = A s[n] + B u[n], y[n] = C s[n] + D u[n] from
+    s[0] = 0 to the input rows u, BLOCK samples at a time.
+
+    Inside a block of k samples that starts in state s0, the outputs are
+    C A^j s0 plus each input convolved with the first k Markov parameters
+    D, CB, CAB, ...; the state after the block is A^k s0 plus the inputs
+    weighted by A^(k-1-j) B (Burrus, "Block realization of digital
+    filters", 1972).  Returns the output rows and the final state, or None
+    when the per-step loop must run instead: A is not shown to decay
+    (spectral radius >= 1), or an output is not finite and below
+    OVERFLOW_GUARD.
+    """
+    ns, m = B.shape
+    p = C.shape[0]
+    total = len(inputs[0])
+    with np.errstate(all="ignore"):
+        if not _decays(A):
+            return None
+        K = min(BLOCK, total)
+        powers = np.empty((K + 1, ns, ns))  # A^0 .. A^K
+        powers[0] = np.eye(ns)
+        for k in range(K):
+            powers[k + 1] = powers[k] @ A
+        state_out = np.einsum("os,kst->okt", C, powers[:K])  # [o, j] = row o of C A^j
+        markov = np.empty((p, m, K))
+        markov[:, :, 0] = D
+        markov[:, :, 1:] = np.einsum("okt,ti->oik", state_out[:, : K - 1], B)
+        weights = np.einsum("kst,ti->isk", powers[K - 1 :: -1], B)  # [i, :, j] = A^(K-1-j) B
+        # one array per output row, as the per-step loops allocate them:
+        # malloc reuses freed arrays of that size, so peak memory stays put
+        y = [np.empty(total) for _ in range(p)]
+        s = np.zeros(ns)
+        for n0 in range(0, total, K):
+            k = min(K, total - n0)
+            u = [row[n0 : n0 + k] for row in inputs]
+            for o in range(p):
+                out = state_out[o, :k] @ s
+                for i in range(m):
+                    out += np.convolve(u[i], markov[o, i, :k])[:k]
+                if not np.abs(out).max() < OVERFLOW_GUARD:
+                    return None
+                y[o][n0 : n0 + k] = out
+            s = powers[k] @ s
+            for i in range(m):
+                s += weights[i, :, K - k :] @ u[i]
+    return y, s
+
+
+def _legs_system(legs):
+    """Parallel legs fed by one input as (A, B, C, D), with the state
+    [x1, x2, y1, y2 of each leg] and the summed leg outputs as output."""
+    ns = 2 + 2 * len(legs)
+    nxt = np.zeros((ns, ns + 1))  # rows over [state, input]
+    out = np.zeros(ns + 1)
+    nxt[0, ns] = 1.0  # x1 <- x
+    nxt[1, 0] = 1.0  # x2 <- x1
+    for j, c in enumerate(legs):
+        y1 = 2 + 2 * j
+        leg = np.zeros(ns + 1)
+        leg[[ns, 0, 1, y1, y1 + 1]] = c.kin0, c.kin1, c.kin2, c.kout1, c.kout2
+        nxt[y1] = leg
+        nxt[y1 + 1, y1] = 1.0  # y2 <- y1
+        out += leg
+    return nxt[:, :ns], nxt[:, ns:], out[None, :ns], out[None, ns:]
+
+
+def _run_steps(legs, x: np.ndarray) -> np.ndarray:
+    """Per-step route of run_difference_equation."""
+    runners = [DiffEqRunner(c) for c in legs]
     out = np.empty(x.size)
     for n, v in enumerate(x):
         y = 0.0
@@ -92,6 +179,16 @@ def run_difference_equation(coeffs, samples) -> np.ndarray:
             raise NumericOverflow(f"output {float(y)!r} at sample {n} exceeds guard {OVERFLOW_GUARD:g}")
         out[n] = y
     return out
+
+
+def run_difference_equation(coeffs, samples) -> np.ndarray:
+    """Run one leg (or the sum of several parallel legs) over an input array."""
+    legs = _as_legs(coeffs)
+    x = np.asarray(samples, dtype=float)
+    if x.size == 0:
+        raise EmptyInput("no input samples")
+    run = _block_lti(*_legs_system(legs), [x])
+    return _run_steps(legs, x) if run is None else run[0][0]
 
 
 @dataclass(frozen=True)
@@ -138,6 +235,8 @@ def sine_steady_state(
     window = chunks * samples_per_chunk
     settle = math.ceil(settle_cycles * fs / f)
     total = settle + 2 * window
+    if total > MAX_SAMPLES:
+        raise ParamError(f"the sine test asks for {total} samples, above MAX_SAMPLES = {MAX_SAMPLES}")
 
     n = np.arange(total)
     x = amp * np.sin(2.0 * math.pi * f * n / fs)
@@ -189,18 +288,15 @@ def thd(samples, f0: float, fs: float, max_harmonic: int = 50) -> float:
         raise WindowError(f"window spans {periods!r} periods, not an integer count")
     if round(periods) < 10:
         raise WindowError(f"window spans only {round(periods)} periods, need >= 10")
-    n = np.arange(x.size)
-    base = -2j * math.pi * f0 * n / fs
-    fund = abs(complex(2.0 / x.size * np.dot(x, np.exp(base))))
+    p = round(periods)
+    # bin h*p of the spectrum is harmonic h; 2/N scales it to an amplitude
+    c = np.abs(np.fft.rfft(x)) * (2.0 / x.size)
+    fund = c[p]
     if fund < 1e-300:
         raise DomainError("fundamental component is zero, distortion undefined")
-    acc = 0.0
-    for h in range(2, max_harmonic + 1):
-        if h * f0 >= 0.5 * fs:
-            break
-        c = complex(2.0 / x.size * np.dot(x, np.exp(h * base)))
-        acc += abs(c) ** 2
-    return 100.0 * math.sqrt(acc) / fund
+    h = np.arange(2, max_harmonic + 1)
+    bins = h[2 * h * p < x.size] * p  # harmonics below Nyquist
+    return 100.0 * math.sqrt(float(np.sum(c[bins] ** 2))) / fund
 
 
 @dataclass(frozen=True)
@@ -221,6 +317,11 @@ class InverterConfig:
         values = [getattr(self, f.name) for f in fields(self)]
         if not all(math.isfinite(v) for v in values):
             raise ParamError("inverter constants must be finite")
+        if self.duration * self.fs_ctrl > MAX_SAMPLES:
+            raise ParamError(
+                f"duration*fs_ctrl asks for {self.duration * self.fs_ctrl:.0f} steps, "
+                f"above MAX_SAMPLES = {MAX_SAMPLES}"
+            )
         if self.l_filter <= 0 or self.fs_ctrl <= 0 or self.grid_freq <= 0:
             raise ParamError("l_filter, fs_ctrl and grid_freq must be positive")
         if self.duration * self.grid_freq < 20:
@@ -248,39 +349,48 @@ class SimTrace:
             raise ParamError("trace arrays must share one length")
 
 
-def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
-    """Run the average-model current loop and record every sample.
+def _closed_loop_system(legs, delay: int, coef: float):
+    """The current loop as (A, B, C, D) with inputs [i_ref, v_grid],
+    outputs [i_grid, v_inv] and the state [legs, delay line oldest first,
+    inductor current]."""
+    la, lb, lc, ld = _legs_system(legs)
+    nl = len(la)
+    ns = nl + delay + 1
+    il = ns - 1
+    ref, grid = ns, ns + 1  # input columns of the rows over [state, inputs]
+    unit = np.eye(ns + 2)
+    err = unit[ref] - unit[il]
+    cmd = unit[grid] + ld[0, 0] * err
+    cmd[:nl] += lc[0]
+    vb = unit[nl] if delay else cmd
+    nxt = np.zeros((ns, ns + 2))
+    nxt[:nl, :nl] = la
+    nxt[:nl] += np.outer(lb[:, 0], err)
+    if delay:  # the line moves up one place and takes the new command last
+        nxt[nl : il - 1, nl + 1 : il] = np.eye(delay - 1)
+        nxt[il - 1] = cmd
+    nxt[il] = unit[il] + coef * (vb - unit[grid])
+    out = np.stack([unit[il], vb])
+    return nxt[:, :ns], nxt[:, ns:], out[:, :ns], out[:, ns:]
 
-    ``controller`` is one DiffEqCoeffs or a sequence of parallel legs; the
-    legs all see the current error and their outputs are summed.  The
-    commanded voltage (controller output plus measured grid voltage
-    feedforward) reaches the bridge delay_samples later.
-    """
-    legs = [DiffEqRunner(c) for c in _as_legs(controller)]
-    T = 1.0 / cfg.fs_ctrl
-    steps = round(cfg.duration * cfg.fs_ctrl)
-    w1 = 2.0 * math.pi * cfg.grid_freq
-    wh = 2.0 * math.pi * cfg.harmonic_freq
-    a1 = math.sqrt(2.0) * cfg.grid_vrms
 
-    t = np.arange(steps) * T
-    v_grid = a1 * np.sin(w1 * t) + cfg.harmonic_amp * np.sin(wh * t)
-    i_ref = cfg.i_ref_amplitude * np.sin(w1 * t)
-
+def _closed_loop_steps(legs, delay: int, coef: float, i_ref: np.ndarray, v_grid: np.ndarray):
+    """Per-step route of inverter_closed_loop: the (i_grid, v_inv) rows."""
+    runners = [DiffEqRunner(c) for c in legs]
+    steps = len(i_ref)
     i_grid = np.empty(steps)
     v_inv = np.empty(steps)
-    delay = [0.0] * cfg.delay_samples
+    line = [0.0] * delay
     i_l = 0.0
-    coef = T / cfg.l_filter
     for n in range(steps):
         err = i_ref[n] - i_l
         u = 0.0
-        for leg in legs:
+        for leg in runners:
             u += leg.step(err)
         cmd = u + v_grid[n]
-        if delay:
-            delay.append(cmd)
-            vb = delay.pop(0)
+        if line:
+            line.append(cmd)
+            vb = line.pop(0)
         else:
             vb = cmd
         i_grid[n] = i_l
@@ -291,6 +401,36 @@ def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
                 f"inductor current {float(i_l)!r} at step {n} exceeds guard; "
                 "the discretized controller is likely unstable"
             )
+    return i_grid, v_inv
+
+
+def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
+    """Run the average-model current loop and record every sample.
+
+    ``controller`` is one DiffEqCoeffs or a sequence of parallel legs; the
+    legs all see the current error and their outputs are summed.  The
+    commanded voltage (controller output plus measured grid voltage
+    feedforward) reaches the bridge delay_samples later.
+    """
+    legs = _as_legs(controller)
+    T = 1.0 / cfg.fs_ctrl
+    steps = round(cfg.duration * cfg.fs_ctrl)
+    w1 = 2.0 * math.pi * cfg.grid_freq
+    wh = 2.0 * math.pi * cfg.harmonic_freq
+    a1 = math.sqrt(2.0) * cfg.grid_vrms
+
+    t = np.arange(steps) * T
+    v_grid = a1 * np.sin(w1 * t) + cfg.harmonic_amp * np.sin(wh * t)
+    i_ref = cfg.i_ref_amplitude * np.sin(w1 * t)
+
+    delay, coef = int(cfg.delay_samples), T / cfg.l_filter
+    run = _block_lti(*_closed_loop_system(legs, delay, coef), [i_ref, v_grid])
+    # the per-step loop also guards the current after the last step, the
+    # last entry of the final state
+    if run is not None and abs(run[1][-1]) < OVERFLOW_GUARD:
+        i_grid, v_inv = run[0]
+    else:
+        i_grid, v_inv = _closed_loop_steps(legs, delay, coef, i_ref, v_grid)
     return SimTrace(t=t, i_grid=i_grid, v_grid=v_grid, v_inv=v_inv)
 
 

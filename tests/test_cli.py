@@ -442,3 +442,42 @@ def test_float_range_error_names_the_resolved_constants(capsys):
     assert out == ""
     assert err.startswith("error: double-precision overflow")
     assert "wn=1e+200" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stable_loop_crossing_the_guard_reports_the_exact_step(capsys):
+    # a stable loop tracking a huge reference: the block run crosses the
+    # guard, and the per-step rerun names the step the current crossed it
+    code, out, err = run_err(capsys, "simulate", "inverter", "--method", "sota",
+                             "--i-ref", "2e12")
+    assert code == 4
+    assert out == ""
+    assert "inductor current 1000519201477.8395 at step 66" in err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("simulate", "inverter", "--duration", "1e6"), "40000000000 steps"),
+    (("simulate", "board", "--settle-cycles", "1000000000"), "21052633979 samples"),
+])
+def test_sample_cap_exits_2_before_running(tmp_path, capsys, argv, count):
+    code, out, err = run_err(capsys, *argv, "--trace-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert count in err and "MAX_SAMPLES" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("discretize", "--method", "sbt"),
+    ("bode", "--method", "sbt"),
+    ("error",),
+    ("rmse",),
+    ("simulate", "board"),
+], ids=" ".join)
+def test_non_finite_coefficients_exit_3(capsys, argv):
+    # kr*wc*T overflows a double: no rows of nulls, no raw warning
+    code, out, err = run_err(capsys, *argv, "--kr", "1e308", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: double-precision overflow with kr=1e+308, ")

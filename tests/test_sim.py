@@ -1,10 +1,12 @@
 """Difference-equation execution, sine measurements, distortion, inverter loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from sbtkit import sim
 from sbtkit import (
     DiffEqCoeffs,
     DiffEqRunner,
@@ -248,3 +250,110 @@ def test_write_trace_csv(tmp_path):
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# Two routes: the block state-space runner against the per-step loop it
+# replaces for stable systems.  Both round differently, so they agree to a
+# tolerance relative to the peak of the compared signal.
+
+
+def _stable_leg(rng):
+    r, theta = rng.uniform(0.5, 0.999), rng.uniform(0.0, math.pi)
+    kin = rng.uniform(-2.0, 2.0, size=3)
+    return DiffEqCoeffs(kin0=kin[0], kin1=kin[1], kin2=kin[2],
+                        kout1=2.0 * r * math.cos(theta), kout2=-r * r)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_legs", [1, 2])
+def test_block_runner_equals_per_step_loop(seed, n_legs):
+    rng = np.random.default_rng(seed)
+    legs = [_stable_leg(rng) for _ in range(n_legs)]
+    # a length that is not a whole number of blocks, and one below a block
+    for size in (3 * sim.BLOCK + 77, sim.BLOCK // 3):
+        x = rng.uniform(-1.0, 1.0, size=size)
+        assert sim._block_lti(*sim._legs_system(legs), [x]) is not None
+        got = run_difference_equation(legs, x)
+        want = sim._run_steps(legs, x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _loop_points():
+    rng = np.random.default_rng(2024)
+    methods = [TustinPrewarp(), Sbt(SbtParams(0.5, 1.0)), Sbt(SbtParams(0.7, 1.02))]
+    points = []
+    for fs in (20000.0, 40000.0):
+        for delay in (0, 1, 2):
+            harmonic = 50.0 * rng.choice([5, 7, 11, 13, 19, 29])
+            point = (fs, delay, harmonic, 245e-6 * rng.uniform(0.7, 1.5), methods[len(points) % 3])
+            points.append(pytest.param(*point, id=f"fs{fs:g}-delay{delay}-h{harmonic:g}"))
+    return points
+
+
+@pytest.mark.filterwarnings("ignore::sbtkit.StabilityRangeWarning")
+@pytest.mark.parametrize("fs, delay, harmonic, l_filter, method", _loop_points())
+def test_block_closed_loop_equals_per_step_loop(fs, delay, harmonic, l_filter, method):
+    cfg = InverterConfig(fs_ctrl=fs, delay_samples=delay, harmonic_freq=harmonic,
+                         l_filter=l_filter, duration=0.4)
+    legs = pir_discretize(PI, INV, method, 1.0 / fs)
+    coef = 1.0 / (fs * l_filter)
+    A = sim._closed_loop_system(legs, delay, coef)[0]
+    if np.max(np.abs(np.linalg.eigvals(A))) >= 1.0:
+        pytest.skip("closed loop not stable at this point: only the per-step route runs")
+    assert sim._decays(A)
+    trace = inverter_closed_loop(cfg, legs)
+    i_ref = cfg.i_ref_amplitude * np.sin(2.0 * math.pi * cfg.grid_freq * trace.t)
+    i_grid, v_inv = sim._closed_loop_steps(legs, delay, coef, i_ref, trace.v_grid)
+    assert np.max(np.abs(trace.i_grid - i_grid)) <= 1e-12 * np.max(np.abs(i_grid))
+    assert np.max(np.abs(trace.v_inv - v_inv)) <= 1e-12 * np.max(np.abs(v_inv))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decay_test_agrees_with_the_spectral_radius(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(8, 8))
+    A /= np.max(np.abs(np.linalg.eigvals(A)))
+    for radius in (0.2, 0.9, 0.999):
+        assert sim._decays(radius * A)
+    with np.errstate(all="ignore"):  # as in the block runner: powers overflow
+        for radius in (1.0, 1.001, 3.0):
+            assert not sim._decays(radius * A)
+        assert not sim._decays(np.full((2, 2), np.nan))
+
+
+def test_runaway_leg_falls_back_to_per_step_without_warnings():
+    # spectral radius 2: the per-step loop runs and names the exact sample
+    runaway = DiffEqCoeffs(kin0=1.0, kin1=0.0, kin2=0.0, kout1=2.0, kout2=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow, match="at sample 39 "):
+            run_difference_equation(runaway, np.ones(1000))
+
+
+def test_non_finite_block_output_falls_back_without_warnings():
+    # a stable leg whose block sums overflow: the per-step loop stops at sample 0
+    rng = np.random.default_rng(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow, match="at sample 0 "):
+            run_difference_equation(_stable_leg(rng), np.full(600, 1e307))
+
+
+def test_sample_cap_rejects_before_allocating():
+    with pytest.raises(ParamError, match="40000000000 steps"):
+        InverterConfig(duration=1e6)
+    with pytest.raises(ParamError, match="MAX_SAMPLES"):
+        sine_steady_state(GAIN_ONLY, 950.0, FS, settle_cycles=10**9)
+    InverterConfig(duration=sim.MAX_SAMPLES / 40000.0)
+
+
+def test_thd_reads_the_spectrum_at_harmonic_bins():
+    # equal to the projection at each harmonic frequency
+    fs, f0 = 40000.0, 50.0
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=int(fs / f0) * 10)
+    n = np.arange(x.size)
+    amp = [abs(2.0 / x.size * np.dot(x, np.exp(-2j * math.pi * h * f0 * n / fs)))
+           for h in range(1, 51)]
+    want = 100.0 * math.sqrt(sum(a * a for a in amp[1:])) / amp[0]
+    assert thd(x, f0, fs) == pytest.approx(want, rel=1e-12)

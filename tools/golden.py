@@ -46,16 +46,20 @@ ERROR_CASES = [
     ("simulate", "board", "--f", "0.1"),
     ("simulate", "inverter", "--duration", "nan"),
     ("simulate", "inverter", "--method", "pi,simpson", "--trace-dir", "{tmp}"),
+    ("simulate", "inverter", "--duration", "1e6"),
+    ("simulate", "board", "--settle-cycles", "1000000000"),
     # exit 3: a domain error of the math
     ("discretize", "--method", "sota", "--fs", "1000"),
     ("discretize", "--method", "euler", "--wn", "1e200"),
     ("bode", "--method", "sbt", "--grid", "9000:12000:5"),
     ("pole-map", "--fs", "1000"),
     ("optimize", "--kr", "1e308", "--coarse", "3", "--iters", "1"),
+    ("bode", "--method", "sbt", "--kr", "1e308"),
     # exit 4: a diverging closed loop
     ("simulate", "inverter", "--method", "sbt", "--alpha", "0.05"),
     ("simulate", "inverter", "--method", "sbt", "--alpha", "0.0", "--duration", "0.5",
      "--trace-dir", "{tmp}"),
+    ("simulate", "inverter", "--method", "sota", "--i-ref", "2e12"),
 ]
 
 
