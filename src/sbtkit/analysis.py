@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import QrParams, qr_discretize, sbt_params_straightforward
+from .controllers import QrParams, qr_discretize, sbt_params_straightforward, upper_pole
 from .errors import CrossCheckError, DomainError, EmptyInput, ParamError
-from .lti import Polynomial, TransferFunction, quadratic_roots
+from .lti import POLE_HIT_TOL, Polynomial, TransferFunction, quadratic_roots
 from .transforms import (
     METHODS,
     Method,
@@ -46,6 +46,15 @@ __all__ = [
     "pole_map_table",
 ]
 
+# most points one grid may hold (the largest built-in grid has 2201)
+MAX_GRID_POINTS = 2**16
+
+
+def _grid_size(n: int) -> int:
+    if n > MAX_GRID_POINTS:
+        raise ParamError(f"grid of {n} points exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+    return n
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -57,6 +66,7 @@ class FrequencyGrid:
     def __post_init__(self):
         if len(self.points) == 0:
             raise EmptyInput("frequency grid needs at least one point")
+        _grid_size(len(self.points))
         pts = tuple(float(f) for f in self.points)
         if not (0.0 < pts[0] and pts[-1] < math.inf):
             raise ParamError("grid frequencies must be positive and finite")
@@ -75,13 +85,13 @@ class FrequencyGrid:
 
     @classmethod
     def linear(cls, f_lo: float, f_hi: float, n: int) -> "FrequencyGrid":
-        return cls(tuple(np.linspace(f_lo, f_hi, n)), "linear")
+        return cls(tuple(np.linspace(f_lo, f_hi, _grid_size(n))), "linear")
 
     @classmethod
     def logarithmic(cls, f_lo: float, f_hi: float, n: int) -> "FrequencyGrid":
         if f_lo <= 0 or f_hi <= 0:
             raise ParamError("logarithmic grid needs positive edges")
-        return cls(tuple(np.logspace(math.log10(f_lo), math.log10(f_hi), n)), "logarithmic")
+        return cls(tuple(np.logspace(math.log10(f_lo), math.log10(f_hi), _grid_size(n))), "logarithmic")
 
     @classmethod
     def explicit(cls, points) -> "FrequencyGrid":
@@ -148,8 +158,8 @@ def complex_response(tf: TransferFunction, freqs: np.ndarray):
     """Complex response at each frequency (Hz) and the mask of pole hits.
 
     A continuous system is evaluated at j*2*pi*f, a discrete one at
-    exp(j*2*pi*f*dt), which must lie below Nyquist.  Where |den| < 1e-300 the
-    point is flagged and its value is num/1.
+    exp(j*2*pi*f*dt), which must lie below Nyquist.  Where |den| is below
+    lti.POLE_HIT_TOL the point is flagged and its value is num/1.
     """
     if tf.is_discrete:
         if freqs[-1] >= 0.5 / tf.dt:
@@ -160,7 +170,7 @@ def complex_response(tf: TransferFunction, freqs: np.ndarray):
     else:
         x = 1j * 2.0 * math.pi * freqs
     denv = tf.den(x)
-    hit = np.abs(denv) < 1e-300
+    hit = np.abs(denv) < POLE_HIT_TOL
     return np.asarray(tf.num(x)) / np.where(hit, 1.0, denv), hit
 
 
@@ -230,17 +240,13 @@ class SourcePoles:
 
 
 def source_poles(p: QrParams, T: float) -> SourcePoles:
-    """Original pole (-wc, sqrt(wn^2 - wc^2)) and its pre-warped sibling
-    (-wc, sqrt((kw*wn)^2 - wc^2)) with kw the pre-warp factor."""
-    rad = p.omega_n**2 - p.omega_c**2
-    if rad <= 0:
+    """The upper plant pole and its sibling with the resonance scaled by prewarp_factor."""
+    original = upper_pole(p)
+    if original.imag == 0:
         raise DomainError("resonant poles are not complex: omega_c >= omega_n")
-    original = complex(-p.omega_c, math.sqrt(rad))
-    kw = prewarp_factor(p.omega_n, T)
-    rad_pw = (kw * p.omega_n) ** 2 - p.omega_c**2
-    if rad_pw <= 0:
+    prewarped = upper_pole(p, prewarp_factor(p.omega_n, T))
+    if prewarped.imag == 0:
         raise DomainError("pre-warped poles are not complex")
-    prewarped = complex(-p.omega_c, math.sqrt(rad_pw))
     return SourcePoles(original=original, prewarped=prewarped)
 
 
@@ -274,19 +280,13 @@ def pole_map_table(
             Sbt(sbt_params_straightforward(p, T)) if tag is Sbt else tag()
             for tag in METHODS.values()
         ]
-
-    def pole(ratio: float) -> complex:
-        # upper plant pole with its resonance scaled by ratio (>= 1)
-        wn = p.omega_n * ratio
-        return complex(-p.omega_c, math.sqrt(wn**2 - p.omega_c**2))
-
-    exact_z = exact_z_from_s(pole(1.0), T)
+    exact_z = exact_z_from_s(upper_pole(p), T)
     records = [
         PoleMapRecord("exact", exact_z, equivalent_s_from_z(exact_z, T))
     ]
     for m in methods:
         alpha, beta_c, beta_n = time_factors(m, p.omega_n, T)
-        mapped = z_from_s(pole(beta_n / beta_c), SbtParams(alpha, beta_c), T)
+        mapped = z_from_s(upper_pole(p, beta_n / beta_c), SbtParams(alpha, beta_c), T)
         den = qr_discretize(p, m, T)
         root_hi, _ = quadratic_roots(Polynomial([den.b0, den.b1, den.b2]))
         if abs(mapped - root_hi) > consistency_tol:

@@ -11,6 +11,7 @@ matching how such controllers are quoted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -301,13 +302,14 @@ def cmd_simulate_inverter(args) -> int:
     cfg = sim.InverterConfig(**{field: getattr(args, field) for _, field, _ in INVERTER_FLAGS})
     T = 1.0 / cfg.fs_ctrl
     p = controllers.QrParams(c["kr_inv"], c["wc"], c["wn"])
-    pi = controllers.PiParams(c["kp"], c["tau_i"])
+    pi_leg = controllers.pi_discretize(controllers.PiParams(c["kp"], c["tau_i"]), T)
     rows = []
     for m in _method_list(args.method, p, T, args, extra=("pi",)):
         if m == "pi":
-            name, legs = m, (controllers.pi_discretize(pi, T),)
+            name, legs = m, (pi_leg,)
         else:
-            name, legs = transforms.method_label(m), controllers.pir_discretize(pi, p, m, T)
+            qr_leg = controllers.diff_eq_coeffs(_discretize(p, m, T))
+            name, legs = transforms.method_label(m), (pi_leg, qr_leg)
         try:
             trace = sim.inverter_closed_loop(cfg, legs)
         except NumericOverflow as exc:
@@ -394,7 +396,9 @@ def _add_common(sp, constants=tuple(CONSTANT_HELP), with_grid: bool = False) -> 
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once: it costs about 40 parses, and parse_args keeps no state."""
     ap = argparse.ArgumentParser(
         prog="sbtkit",
         description="Discretize, compare and simulate resonant current controllers.",
@@ -460,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command(sub, "optimize", "search (alpha, beta) minimizing a loss")
     _add_common(sp, constants=("--kr", "--wc", "--wn", "--fs"), with_grid=True)
-    sp.add_argument("--loss", choices=("mag-rmse-db", "mag-rmse-linear", "pole-distance"),
+    sp.add_argument("--loss", choices=[k.replace("_", "-") for k in tuning.LOSS_KINDS],
                     default="mag-rmse-db")
     sp.add_argument("--alpha-range", default="0.5:1.0")
     sp.add_argument("--beta-range", default="0.9:1.1")

@@ -61,6 +61,13 @@ class QrParams:
             )
 
 
+def upper_pole(p: QrParams, ratio: float = 1.0) -> complex:
+    """Upper plant pole (-wc, sqrt((ratio*wn)^2 - wc^2)); its imaginary part
+    is 0 only where the radicand underflows."""
+    wn = p.omega_n * ratio
+    return complex(-p.omega_c, math.sqrt(wn**2 - p.omega_c**2))
+
+
 @dataclass(frozen=True)
 class PiParams:
     """Proportional-integral constants."""

@@ -1,5 +1,12 @@
 """Exception and warning types shared across the toolkit."""
 
+__all__ = [
+    "SbtkitError", "ParamError", "DomainError", "DomainMismatch", "DegreeError",
+    "PoleHit", "MapSingularity", "OriginError", "NormalizationError", "EmptyInput",
+    "NumericOverflow", "NotSettled", "WindowError", "CrossCheckError",
+    "StabilityRangeWarning", "UnstableWarning",
+]
+
 
 class SbtkitError(Exception):
     """Base class for all toolkit errors."""

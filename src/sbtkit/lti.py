@@ -17,6 +17,9 @@ from .errors import CrossCheckError, DomainMismatch, DegreeError, EmptyInput, Pa
 
 __all__ = ["Polynomial", "TransferFunction", "parallel", "quadratic_roots"]
 
+# |den| below this marks a pole hit, for a point and for a response sweep
+POLE_HIT_TOL = 1e-300
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -105,14 +108,14 @@ class TransferFunction:
     def is_discrete(self) -> bool:
         return self.dt is not None
 
-    def __call__(self, x, tol: float = 1e-300):
+    def __call__(self, x):
         """Evaluate num(x)/den(x) at a complex point.
 
-        Raises PoleHit when |den(x)| falls below ``tol``.
+        Raises PoleHit when |den(x)| falls below POLE_HIT_TOL.
         """
         d = self.den(x)
-        if abs(d) < tol:
-            raise PoleHit(f"denominator magnitude {abs(d):.3e} below {tol:.3e} at x={x!r}")
+        if abs(d) < POLE_HIT_TOL:
+            raise PoleHit(f"denominator magnitude {abs(d):.3e} below {POLE_HIT_TOL:.3e} at x={x!r}")
         return self.num(x) / d
 
 

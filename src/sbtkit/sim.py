@@ -54,6 +54,8 @@ OVERFLOW_GUARD = 1e12
 BLOCK = 256
 # most samples one run may ask for (about 105 s at the 40 kHz control rate)
 MAX_SAMPLES = 2**22
+# longest bridge delay line; the loop's state matrix grows as its square
+MAX_DELAY_SAMPLES = 256
 
 
 class DiffEqRunner:
@@ -326,8 +328,9 @@ class InverterConfig:
             raise ParamError("l_filter, fs_ctrl and grid_freq must be positive")
         if self.duration * self.grid_freq < 20:
             raise ParamError("duration must cover at least 20 grid cycles")
-        if self.delay_samples < 0 or self.delay_samples != int(self.delay_samples):
-            raise ParamError("delay_samples must be a non-negative integer")
+        d = self.delay_samples
+        if not (0 <= d <= MAX_DELAY_SAMPLES and d == int(d)):
+            raise ParamError(f"delay_samples={d!r} is not an integer in [0, {MAX_DELAY_SAMPLES}]")
         if not 0 <= self.harmonic_freq < 0.5 * self.fs_ctrl:
             raise ParamError("harmonic_freq must sit below Nyquist")
         if self.harmonic_amp < 0 or self.grid_vrms < 0:

@@ -33,6 +33,7 @@ from .errors import (
 from .lti import Polynomial, TransferFunction
 
 __all__ = [
+    "STABLE_ALPHA_MIN",
     "SbtParams",
     "Euler",
     "Tustin",

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import FrequencyGrid, complex_response, default_rmse_grid, _response_arrays
-from .controllers import QrParams, qr_continuous, qr_discretize, sbt_params_straightforward
+from .controllers import QrParams, qr_continuous, qr_discretize, sbt_params_straightforward, upper_pole
 from .errors import DomainError, ParamError, UnstableWarning
 from .lti import Polynomial, quadratic_roots
 from .transforms import Sbt, SbtParams, equivalent_s_from_z, z_from_s
@@ -34,6 +34,9 @@ __all__ = [
 LOSS_KINDS = ("mag_rmse_db", "mag_rmse_linear", "pole_distance")
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# most q_loss evaluations one search may ask for (the default search runs 1842)
+MAX_EVALUATIONS = 2**16
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,9 @@ class SearchConfig:
             raise ParamError("coarse_points must be at least 1")
         if self.refine_iters < 0:
             raise ParamError("refine_iters must be non-negative")
+        n = 1 + self.coarse_points**2 + 4 * self.refine_iters
+        if n > MAX_EVALUATIONS:
+            raise ParamError(f"search of {n} evaluations exceeds MAX_EVALUATIONS = {MAX_EVALUATIONS}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +136,7 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
             )
             break
     if cfg.loss_kind == "pole_distance":
-        rad = p.omega_n**2 - p.omega_c**2
-        original = complex(-p.omega_c, math.sqrt(rad))
+        original = upper_pole(p)
         eq = equivalent_s_from_z(z_from_s(original, params, T), T)
         return abs(eq - original) / p.omega_n
 

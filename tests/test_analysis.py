@@ -322,3 +322,26 @@ def test_grid_rejects_non_finite_points():
 def test_logarithmic_grid_rejects_non_positive_edge(f_lo, f_hi):
     with pytest.raises(ParamError):
         FrequencyGrid.logarithmic(f_lo, f_hi, 3)
+
+
+def test_grid_point_cap_is_checked_before_allocating(tmp_path):
+    cap = sbtkit.analysis.MAX_GRID_POINTS
+    for make in (FrequencyGrid.linear, FrequencyGrid.logarithmic):
+        with pytest.raises(ParamError, match="grid of 1000000000000 points"):
+            make(10.0, 9000.0, 10**12)
+        assert len(make(10.0, 9000.0, cap)) == cap
+    with pytest.raises(ParamError, match=f"grid of {cap + 1} points"):
+        FrequencyGrid.explicit(range(1, cap + 2))
+    path = tmp_path / "big.txt"
+    path.write_text("\n".join(str(f) for f in range(1, cap + 2)))
+    with pytest.raises(ParamError, match="MAX_GRID_POINTS"):
+        load_grid_file(str(path))
+
+
+def test_source_poles_reject_a_radicand_that_underflows():
+    # wc < wn, yet wn^2 - wc^2 underflows to 0: the pole is real
+    p = QrParams(KR, 0.5e-170, 1e-170)
+    with pytest.raises(DomainError, match="not complex"):
+        source_poles(p, T)
+    # the pole-map rows take that real pole as it is
+    assert [r.mapped_z for r in pole_map_table(p, T)] == [1.0] * 5

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sbtkit import cli, load_grid_file, prewarp_factor
+from sbtkit import analysis, cli, load_grid_file, prewarp_factor
 
 KPW = prewarp_factor(5969.0, 5e-5)
 
@@ -481,3 +481,50 @@ def test_non_finite_coefficients_exit_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: double-precision overflow with kr=1e+308, ")
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("bode", "--grid", "10:9000:1000000000000"), "grid of 1000000000000 points"),
+    (("optimize", "--coarse", "100000", "--iters", "1"), "search of 10000000005 evaluations"),
+    (("simulate", "inverter", "--delay-samples", "100000"), "delay_samples=100000"),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_work_caps_exit_2_before_running(capsys, argv, count):
+    code, out, err = run_err(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert count in err
+
+
+def test_grid_cap_holds_for_grid_files_and_the_environment(tmp_path, capsys, monkeypatch):
+    n = analysis.MAX_GRID_POINTS + 1
+    path = tmp_path / "big.txt"
+    path.write_text("\n".join(str(f) for f in range(1, n + 1)))
+    code, _, err = run_err(capsys, "rmse", "--grid-file", str(path))
+    assert code == 2 and f"grid of {n} points" in err
+    monkeypatch.setenv(cli.GRID_ENV, str(path))
+    code, _, err = run_err(capsys, "optimize", "--coarse", "3", "--iters", "1")
+    assert code == 2 and f"grid of {n} points" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_inverter_gain_overflow_exits_3_without_warnings(tmp_path, capsys):
+    config = tmp_path / "board.json"
+    config.write_text(json.dumps({"kr_inv": 1e308}))
+    code, out, err = run_err(capsys, "simulate", "inverter", "--config", str(config))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: double-precision overflow with ")
+    assert "kr_inv=1e+308" in err
+    # the PI leg alone does not read kr_inv
+    code, out, _ = run_err(capsys, "simulate", "inverter", "--config", str(config),
+                           "--methods", "pi", "--duration", "0.4")
+    assert code == 0
+    assert out.startswith("pi ")
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    assert parser.parse_args(["bode", "--method", "sbt"]).method == "sbt"
+    assert parser.parse_args(["bode"]).method == "analog"

@@ -11,6 +11,7 @@ from sbtkit import (
     PoleHit,
     Polynomial,
     TransferFunction,
+    complex_response,
     parallel,
     quadratic_roots,
 )
@@ -167,3 +168,15 @@ def test_quadratic_roots_random_reconstruction():
         # Vieta: sum and product of the roots recover the coefficients
         assert (r1 + r2) == pytest.approx(-b / a, rel=1e-9, abs=1e-9)
         assert (r1 * r2) == pytest.approx(c / a, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("d, hit", [(0.9e-300, True), (1.1e-300, False)])
+def test_point_and_sweep_share_the_pole_hit_threshold(d, hit):
+    tf = TransferFunction(Polynomial([1.0]), Polynomial([d]))
+    _, flags = complex_response(tf, np.array([50.0]))
+    assert bool(flags[0]) is hit
+    if hit:
+        with pytest.raises(PoleHit):
+            tf(1j)
+    else:
+        assert tf(1j) == 1.0 / d

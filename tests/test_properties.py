@@ -136,3 +136,54 @@ def test_fuzzed_flags_keep_the_exit_code_contract(command, flags, grid, method, 
     except SystemExit as exc:  # argparse rejects an unparsable value
         code = exc.code
     assert code in (0, 2, 3, 4), argv
+
+
+def _bounded(lo, hi):
+    """Invalid values, or a finite value in [lo, hi]."""
+    return st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf", "x"]) | st.floats(
+        lo, hi).map(repr)
+
+
+# a board run reads at most (settle + 2*measure)*fs/f + 2*4096 samples and an
+# inverter run duration*fs_ctrl steps, so neither passes about 40,000 per method
+SIMULATE = {
+    "board": st.fixed_dictionaries({
+        "--settle-cycles": st.integers(-2, 60).map(str),
+        "--measure-cycles": st.integers(-2, 10).map(str),
+    }, optional={
+        "--f": _bounded(100.0, 5000.0),
+        "--fs": st.sampled_from(["20000"]) | _bounded(5000.0, 40000.0),
+        "--amp": _number(),
+        "--kr": _number(), "--wc": _number(), "--wn": _number(),
+        "--alpha": _number(), "--beta": _number(),
+    }),
+    "inverter": st.fixed_dictionaries({}, optional={
+        "--fs-ctrl": st.sampled_from(["10000", "20000", "40000"]) | _bounded(2000.0, 40000.0),
+        "--duration": _bounded(0.4, 1.0),
+        "--harmonic-freq": _number(),
+        "--harmonic-amp": _number(),
+        "--i-ref": _number(),
+        "--delay-samples": st.integers(-2, 10**6).map(str) | st.just("1.5"),
+        "--periods": st.integers(-2, 40).map(str),
+        "--wc": _number(), "--wn": _number(), "--alpha": _number(), "--beta": _number(),
+    }),
+}
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    scenario=st.sampled_from(sorted(SIMULATE)),
+    data=st.data(),
+    method=st.sampled_from(["euler", "tustin", "sota", "sbt", "pi", "sbt,pi", "simpson"]),
+    fmt=st.sampled_from(["table", "csv", "json"]),
+)
+def test_fuzzed_simulate_flags_keep_the_exit_code_contract(scenario, data, method, fmt):
+    flags = data.draw(SIMULATE[scenario])
+    argv = ["simulate", scenario] + [f"{k}={v}" for k, v in flags.items()]
+    argv += [f"--method={method}", f"--format={fmt}"]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3, 4), argv

@@ -357,3 +357,10 @@ def test_thd_reads_the_spectrum_at_harmonic_bins():
            for h in range(1, 51)]
     want = 100.0 * math.sqrt(sum(a * a for a in amp[1:])) / amp[0]
     assert thd(x, f0, fs) == pytest.approx(want, rel=1e-12)
+
+
+def test_delay_cap_rejects_before_building_the_loop():
+    # the loop's state matrix has one row per delay sample
+    with pytest.raises(ParamError, match=r"not an integer in \[0, 256\]"):
+        InverterConfig(delay_samples=sim.MAX_DELAY_SAMPLES + 1)
+    InverterConfig(delay_samples=sim.MAX_DELAY_SAMPLES)

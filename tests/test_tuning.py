@@ -16,6 +16,7 @@ from sbtkit import (
     prewarp_factor,
     q_loss,
     sbt_params_straightforward,
+    tuning,
 )
 
 KR, WC, WN = 59.1, 17.907, 5969.0
@@ -171,3 +172,13 @@ def test_optimizer_rejects_a_box_without_finite_loss():
     assert not math.isfinite(q_loss(0.5, 1.0, huge, T))
     with pytest.raises(DomainError):
         optimize_alpha_beta(huge, T, search_cfg=SearchConfig(coarse_points=3, refine_iters=1))
+
+
+def test_search_evaluation_cap():
+    cap = tuning.MAX_EVALUATIONS
+    iters = (cap - 5) // 4  # 1 + 2^2 + 4*iters is the largest search that fits
+    SearchConfig(coarse_points=2, refine_iters=iters)
+    with pytest.raises(ParamError, match=f"search of {1 + 4 + 4 * (iters + 1)} evaluations"):
+        SearchConfig(coarse_points=2, refine_iters=iters + 1)
+    with pytest.raises(ParamError, match="MAX_EVALUATIONS"):
+        SearchConfig(coarse_points=100000, refine_iters=1)

@@ -48,6 +48,9 @@ ERROR_CASES = [
     ("simulate", "inverter", "--method", "pi,simpson", "--trace-dir", "{tmp}"),
     ("simulate", "inverter", "--duration", "1e6"),
     ("simulate", "board", "--settle-cycles", "1000000000"),
+    ("bode", "--grid", "10:9000:1000000000000"),
+    ("optimize", "--coarse", "100000", "--iters", "1"),
+    ("simulate", "inverter", "--delay-samples", "100000"),
     # exit 3: a domain error of the math
     ("discretize", "--method", "sota", "--fs", "1000"),
     ("discretize", "--method", "euler", "--wn", "1e200"),
@@ -55,6 +58,7 @@ ERROR_CASES = [
     ("pole-map", "--fs", "1000"),
     ("optimize", "--kr", "1e308", "--coarse", "3", "--iters", "1"),
     ("bode", "--method", "sbt", "--kr", "1e308"),
+    ("simulate", "inverter", "--config", "{config}/kr_inv.json"),
     # exit 4: a diverging closed loop
     ("simulate", "inverter", "--method", "sbt", "--alpha", "0.05"),
     ("simulate", "inverter", "--method", "sbt", "--alpha", "0.0", "--duration", "0.5",
@@ -126,7 +130,9 @@ def all_cases(config_dir: str) -> list[tuple[str, ...]]:
     for board, config in boards:
         for argv in board_cases(board, config):
             cases += [argv + ("--format", fmt) for fmt in FORMATS]
-    return cases + ERROR_CASES
+    with open(os.path.join(config_dir, "kr_inv.json"), "w", encoding="utf-8") as fh:
+        json.dump({"kr_inv": 1e308}, fh)
+    return cases + [tuple(a.replace("{config}", config_dir) for a in argv) for argv in ERROR_CASES]
 
 
 def run_case(argv: tuple[str, ...], tmp: str) -> tuple[int, str]:
