@@ -15,7 +15,7 @@ import numpy as np
 
 from .controllers import QrParams, qr_discretize, sbt_params_straightforward, upper_pole
 from .errors import CrossCheckError, DomainError, EmptyInput, ParamError
-from .lti import POLE_HIT_TOL, Polynomial, TransferFunction, quadratic_roots
+from .lti import POLE_HIT_TOL, Polynomial, TransferFunction, _horner, quadratic_roots
 from .transforms import (
     METHODS,
     Method,
@@ -154,6 +154,21 @@ class ResponsePoint:
     pole_hit: bool = False
 
 
+def _points(freqs: np.ndarray, dt: float | None) -> np.ndarray:
+    """j*2*pi*f for a continuous system (dt None), else exp(j*2*pi*f*dt) below Nyquist."""
+    if dt is not None and freqs[-1] >= 0.5 / dt:
+        raise DomainError(f"grid reaches {freqs[-1]:g} Hz, at or beyond Nyquist {0.5 / dt:g} Hz")
+    return 1j * 2.0 * math.pi * freqs if dt is None else np.exp(1j * 2.0 * math.pi * freqs * dt)
+
+
+def _ratio(num, den, x: np.ndarray):
+    """complex_response at the points x for ascending coefficients, without numpy warnings."""
+    with np.errstate(all="ignore"):
+        denv = _horner(den, x)
+        hit = np.abs(denv) < POLE_HIT_TOL
+        return np.asarray(_horner(num, x)) / np.where(hit, 1.0, denv), hit
+
+
 def complex_response(tf: TransferFunction, freqs: np.ndarray):
     """Complex response at each frequency (Hz) and the mask of pole hits.
 
@@ -161,27 +176,19 @@ def complex_response(tf: TransferFunction, freqs: np.ndarray):
     exp(j*2*pi*f*dt), which must lie below Nyquist.  Where |den| is below
     lti.POLE_HIT_TOL the point is flagged and its value is num/1.
     """
-    if tf.is_discrete:
-        if freqs[-1] >= 0.5 / tf.dt:
-            raise DomainError(
-                f"grid reaches {freqs[-1]:g} Hz, at or beyond Nyquist {0.5 / tf.dt:g} Hz"
-            )
-        x = np.exp(1j * 2.0 * math.pi * freqs * tf.dt)
-    else:
-        x = 1j * 2.0 * math.pi * freqs
-    denv = tf.den(x)
-    hit = np.abs(denv) < POLE_HIT_TOL
-    return np.asarray(tf.num(x)) / np.where(hit, 1.0, denv), hit
+    return _ratio(tf.num.coeffs, tf.den.coeffs, _points(freqs, tf.dt))
+
+
+def _mag_db(h: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """20*log10|h|, with +inf at pole hits."""
+    with np.errstate(divide="ignore"):
+        return np.where(hit, np.inf, 20.0 * np.log10(np.abs(h)))
 
 
 def _response_arrays(tf: TransferFunction, freqs: np.ndarray):
     h, hit = complex_response(tf, freqs)
-    with np.errstate(divide="ignore"):
-        mag_db = 20.0 * np.log10(np.abs(h))
     phase = np.degrees(np.angle(h))
-    phase = np.where(phase <= -180.0, phase + 360.0, phase)
-    mag_db = np.where(hit, np.inf, mag_db)
-    return mag_db, phase, hit
+    return _mag_db(h, hit), np.where(phase <= -180.0, phase + 360.0, phase), hit
 
 
 def freq_response(tf: TransferFunction, grid: FrequencyGrid) -> list[ResponsePoint]:
@@ -210,12 +217,8 @@ def magnitude_error_curve(
     freqs = grid.as_array()
     mag_a, _, hit_a = _response_arrays(analog, freqs)
     mag_d, _, hit_d = _response_arrays(discrete, freqs)
-    out = []
-    for f, ma, md, ha, hd in zip(freqs, mag_a, mag_d, hit_a, hit_d):
-        if ha or hd:
-            continue
-        out.append((float(f), float(ma - md)))
-    return out
+    keep = ~(hit_a | hit_d)
+    return list(zip(freqs[keep].tolist(), (mag_a[keep] - mag_d[keep]).tolist()))
 
 
 def rmse(errors) -> float:

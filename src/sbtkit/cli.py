@@ -191,11 +191,10 @@ def cmd_bode(args) -> int:
     else:
         m = _resolve_method(name, p, T, args)
         tf = _discretize(p, m, T).to_transfer(T)
-    rows = [
-        {"f_hz": q.f_hz, "mag_db": q.mag_db, "phase_deg": q.phase_deg}
-        for q in analysis.freq_response(tf, grid)
-    ]
-    return _emit(args, rows, ["f_hz", "mag_db", "phase_deg"])
+    mag_db, phase, _ = analysis._response_arrays(tf, grid.as_array())
+    keys = ["f_hz", "mag_db", "phase_deg"]
+    rows = [dict(zip(keys, r)) for r in zip(grid.points, mag_db.tolist(), phase.tolist())]
+    return _emit(args, rows, keys)
 
 
 def cmd_error(args) -> int:

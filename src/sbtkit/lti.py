@@ -21,6 +21,16 @@ __all__ = ["Polynomial", "TransferFunction", "parallel", "quadratic_roots"]
 POLE_HIT_TOL = 1e-300
 
 
+def _horner(coeffs, x):
+    """Ascending coefficients at x by Horner's scheme (a constant takes the shape of x)."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    if isinstance(acc, float) and isinstance(x, (complex, np.ndarray)):
+        return acc + 0 * x
+    return acc
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Dense real polynomial in ascending-power form."""
@@ -45,12 +55,7 @@ class Polynomial:
 
     def __call__(self, x):
         """Evaluate by Horner's scheme. Accepts scalars or numpy arrays."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if isinstance(acc, float) and isinstance(x, (complex, np.ndarray)):
-            return acc + 0 * x
-        return acc
+        return _horner(self.coeffs, x)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))

@@ -439,6 +439,8 @@ def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
 
 def trace_thd(trace: SimTrace, cfg: InverterConfig, periods: int = 10) -> float:
     """Distortion of the trailing ``periods`` grid periods of the trace."""
+    if periods < 1:
+        raise ParamError(f"periods must be at least 1, got {periods!r}")
     per_samples = cfg.fs_ctrl / cfg.grid_freq
     n = round(periods * per_samples)
     if abs(periods * per_samples - n) > 1e-9:

@@ -16,10 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import FrequencyGrid, complex_response, default_rmse_grid, _response_arrays
+from .analysis import FrequencyGrid, _mag_db, _points, _ratio, complex_response, default_rmse_grid
 from .controllers import QrParams, qr_continuous, qr_discretize, sbt_params_straightforward, upper_pole
 from .errors import DomainError, ParamError, UnstableWarning
-from .lti import Polynomial, quadratic_roots
 from .transforms import Sbt, SbtParams, equivalent_s_from_z, z_from_s
 
 __all__ = [
@@ -110,48 +109,41 @@ class OptimizeResult:
     trace: tuple[TraceEntry, ...]
 
 
-@lru_cache(maxsize=32)
-def _analog_mag(p: QrParams, grid: FrequencyGrid) -> np.ndarray:
-    mag_db, _, _ = _response_arrays(qr_continuous(p), grid.as_array())
-    return mag_db
+@lru_cache(maxsize=4)  # a search reuses one; each holds a grid and two arrays
+def _context(p: QrParams, T: float, cfg: LossConfig):
+    """What the magnitude losses of one search share: z = exp(j*2*pi*f*T)
+    over the grid, the analog reference (in dB for mag_rmse_db) and the weights."""
+    freqs = cfg.grid.as_array()
+    h, hit = complex_response(qr_continuous(p), freqs)
+    ref = _mag_db(h, hit) if cfg.loss_kind == "mag_rmse_db" else np.abs(h)
+    return _points(freqs, T), ref, None if cfg.weights is None else np.asarray(cfg.weights)
 
 
 def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | None = None) -> float:
     """Scalar discretization quality loss at one (alpha, beta) pair.
 
-    Emits UnstableWarning when the discretized denominator has a root
-    outside the closed unit disk (possible only for alpha below 0.5).
+    Emits UnstableWarning when the monic denominator z^2 + c1*z + c0 fails
+    the Schur-Cohn test |c0| <= 1, |c1| <= 1 + c0 (possible only for alpha
+    below 0.5).  No roots are computed here, so quadratic_roots and its
+    residual check run only in pole_map_table.
     """
     if cfg is None:
         cfg = LossConfig()
     params = SbtParams(alpha, beta)
     biq = qr_discretize(p, Sbt(params), T)
-    for r in quadratic_roots(Polynomial([biq.b0, biq.b1, biq.b2])):
-        if abs(r) > 1.0 + 1e-12:
-            warnings.warn(
-                f"discrete pole at |z|={abs(r):.6f} outside the unit disk "
-                f"for alpha={alpha}, beta={beta}",
-                UnstableWarning,
-                stacklevel=2,
-            )
-            break
+    c0, c1 = biq.b0 / biq.b2, biq.b1 / biq.b2
+    if not (abs(c0) <= 1.0 and abs(c1) <= 1.0 + c0):
+        warnings.warn(f"discrete poles outside the unit disk for alpha={alpha}, beta={beta}",
+                      UnstableWarning, stacklevel=2)
     if cfg.loss_kind == "pole_distance":
         original = upper_pole(p)
         eq = equivalent_s_from_z(z_from_s(original, params, T), T)
         return abs(eq - original) / p.omega_n
 
-    freqs = cfg.grid.as_array()
-    disc = biq.to_transfer(T)
-    if cfg.loss_kind == "mag_rmse_db":
-        mag_a = _analog_mag(p, cfg.grid)
-        mag_d, _, _ = _response_arrays(disc, freqs)
-        err = mag_a - mag_d
-    else:
-        ha, _ = complex_response(qr_continuous(p), freqs)
-        hd, _ = complex_response(disc, freqs)
-        err = np.abs(ha) - np.abs(hd)
-    if cfg.weights is not None:
-        w = np.asarray(cfg.weights)
+    z, ref, w = _context(p, T, cfg)
+    h, hit = _ratio((biq.a0, biq.a1, biq.a2), (biq.b0, biq.b1, biq.b2), z)
+    err = ref - (_mag_db(h, hit) if cfg.loss_kind == "mag_rmse_db" else np.abs(h))
+    if w is not None:
         return float(np.sqrt(np.sum(w * err * err) / np.sum(w)))
     return float(np.sqrt(np.mean(err * err)))
 

@@ -528,3 +528,20 @@ def test_parser_is_built_once_and_keeps_no_state():
     assert cli.build_parser() is parser
     assert parser.parse_args(["bode", "--method", "sbt"]).method == "sbt"
     assert parser.parse_args(["bode"]).method == "analog"
+
+
+@pytest.mark.parametrize("periods", ["0", "-3"])
+def test_inverter_rejects_fewer_than_one_thd_period(capsys, periods):
+    code, out, err = run_err(capsys, "simulate", "inverter", "--method", "sbt",
+                             "--duration", "0.4", "--periods", periods)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: periods must be at least 1, got {periods}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_analog_bode_overflow_raises_no_numpy_warning(capsys):
+    code, out, _ = run_err(capsys, "bode", "--kr", "1e308", "--grid", "940:960:3",
+                           "--format", "json")
+    assert code == 0
+    assert [r["mag_db"] for r in json.loads(out)] == [None, None, None]

@@ -364,3 +364,11 @@ def test_delay_cap_rejects_before_building_the_loop():
     with pytest.raises(ParamError, match=r"not an integer in \[0, 256\]"):
         InverterConfig(delay_samples=sim.MAX_DELAY_SAMPLES + 1)
     InverterConfig(delay_samples=sim.MAX_DELAY_SAMPLES)
+
+
+@pytest.mark.parametrize("periods", [0, -3])
+def test_trace_thd_rejects_fewer_than_one_period(periods):
+    cfg = InverterConfig(duration=0.5)
+    trace = inverter_closed_loop(cfg, inverter_legs(TustinPrewarp()))
+    with pytest.raises(ParamError, match=f"periods must be at least 1, got {periods}"):
+        trace_thd(trace, cfg, periods=periods)
