@@ -56,6 +56,11 @@ def _grid_size(n: int) -> int:
     return n
 
 
+def _finite_edges(f_lo: float, f_hi: float) -> None:
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        raise ParamError(f"grid edges must be finite, got {f_lo!r} and {f_hi!r}")
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Strictly increasing positive frequencies in Hz plus a spacing tag."""
@@ -85,10 +90,12 @@ class FrequencyGrid:
 
     @classmethod
     def linear(cls, f_lo: float, f_hi: float, n: int) -> "FrequencyGrid":
+        _finite_edges(f_lo, f_hi)
         return cls(tuple(np.linspace(f_lo, f_hi, _grid_size(n))), "linear")
 
     @classmethod
     def logarithmic(cls, f_lo: float, f_hi: float, n: int) -> "FrequencyGrid":
+        _finite_edges(f_lo, f_hi)
         if f_lo <= 0 or f_hi <= 0:
             raise ParamError("logarithmic grid needs positive edges")
         return cls(tuple(np.logspace(math.log10(f_lo), math.log10(f_hi), _grid_size(n))), "logarithmic")
@@ -158,7 +165,8 @@ def _points(freqs: np.ndarray, dt: float | None) -> np.ndarray:
     """j*2*pi*f for a continuous system (dt None), else exp(j*2*pi*f*dt) below Nyquist."""
     if dt is not None and freqs[-1] >= 0.5 / dt:
         raise DomainError(f"grid reaches {freqs[-1]:g} Hz, at or beyond Nyquist {0.5 / dt:g} Hz")
-    return 1j * 2.0 * math.pi * freqs if dt is None else np.exp(1j * 2.0 * math.pi * freqs * dt)
+    with np.errstate(all="ignore"):  # a point near the largest double overflows to nan
+        return 1j * 2.0 * math.pi * freqs if dt is None else np.exp(1j * 2.0 * math.pi * freqs * dt)
 
 
 def _ratio(num, den, x: np.ndarray):
@@ -247,10 +255,8 @@ def source_poles(p: QrParams, T: float) -> SourcePoles:
     original = upper_pole(p)
     if original.imag == 0:
         raise DomainError("resonant poles are not complex: omega_c >= omega_n")
-    prewarped = upper_pole(p, prewarp_factor(p.omega_n, T))
-    if prewarped.imag == 0:
-        raise DomainError("pre-warped poles are not complex")
-    return SourcePoles(original=original, prewarped=prewarped)
+    # prewarp_factor > 1, so the pre-warped radicand is no smaller: its pole is complex too
+    return SourcePoles(original=original, prewarped=upper_pole(p, prewarp_factor(p.omega_n, T)))
 
 
 @dataclass(frozen=True)

@@ -113,26 +113,27 @@ def _discretize(p: controllers.QrParams, m, T: float) -> controllers.BiquadCoeff
     return biq
 
 
-def _resolve_method(name: str, p: controllers.QrParams, T: float, args):
-    tag = transforms.METHODS.get(name)
-    if tag is None:
-        raise ParamError(f"unknown method {name!r}")
-    if tag is not transforms.Sbt:
-        return tag()
-    alpha = 0.5 if args.alpha is None else args.alpha
-    beta = transforms.prewarp_factor(p.omega_n, T) if args.beta is None else args.beta
-    return transforms.Sbt(transforms.SbtParams(alpha, beta))
-
-
-def _method_list(spec: str, p, T, args, extra=()):
-    """Resolved method tags in spec order; names in extra pass through as strings."""
-    out = []
-    for name in spec.split(","):
-        name = name.strip().lower()
-        if name:
-            out.append(name if name in extra else _resolve_method(name, p, T, args))
-    if not out:
+def _methods(args, p: controllers.QrParams, T: float, extra=(), one: bool = False) -> list:
+    """The --method names in order, stripped and case-insensitive, as method
+    tags; names in extra pass through as strings.  one: take exactly one name."""
+    names = [name.strip().lower() for name in args.method.split(",") if name.strip()]
+    if not names:
         raise ParamError("no methods requested")
+    if one and len(names) > 1:
+        raise ParamError(f"--method takes one name here, got {args.method!r}")
+    out = []
+    for name in names:
+        tag = transforms.METHODS.get(name)
+        if name in extra:
+            out.append(name)
+        elif tag is None:
+            raise ParamError(f"unknown method {name!r}")
+        elif tag is transforms.Sbt:
+            alpha = 0.5 if args.alpha is None else args.alpha
+            beta = transforms.prewarp_factor(p.omega_n, T) if args.beta is None else args.beta
+            out.append(transforms.Sbt(transforms.SbtParams(alpha, beta)))
+        else:
+            out.append(tag())
     return out
 
 
@@ -169,7 +170,7 @@ def _parse_grid_spec(spec: str):
 def cmd_discretize(args) -> int:
     p, T = _qr(args)
     rows = []
-    for m in _method_list(args.method, p, T, args):
+    for m in _methods(args, p, T):
         biq = _discretize(p, m, T)
         row = {"method": transforms.method_label(m), **asdict(biq)}
         if args.diffeq:
@@ -185,12 +186,8 @@ def cmd_discretize(args) -> int:
 def cmd_bode(args) -> int:
     p, T = _qr(args)
     grid = _grid_from_args(args, analysis.default_bode_grid)
-    name = args.method.strip().lower()
-    if name == "analog":
-        tf = controllers.qr_continuous(p)
-    else:
-        m = _resolve_method(name, p, T, args)
-        tf = _discretize(p, m, T).to_transfer(T)
+    (m,) = _methods(args, p, T, extra=("analog",), one=True)
+    tf = controllers.qr_continuous(p) if m == "analog" else _discretize(p, m, T).to_transfer(T)
     mag_db, phase, _ = analysis._response_arrays(tf, grid.as_array())
     keys = ["f_hz", "mag_db", "phase_deg"]
     rows = [dict(zip(keys, r)) for r in zip(grid.points, mag_db.tolist(), phase.tolist())]
@@ -200,7 +197,7 @@ def cmd_bode(args) -> int:
 def cmd_error(args) -> int:
     p, T = _qr(args)
     grid = _grid_from_args(args, analysis.default_bode_grid)
-    m = _resolve_method(args.method, p, T, args)
+    (m,) = _methods(args, p, T, one=True)
     disc = _discretize(p, m, T).to_transfer(T)
     curve = analysis.magnitude_error_curve(controllers.qr_continuous(p), disc, grid)
     return _emit(args, [{"f_hz": f, "err_db": e} for f, e in curve], ["f_hz", "err_db"])
@@ -209,7 +206,7 @@ def cmd_error(args) -> int:
 def cmd_rmse(args) -> int:
     p, T = _qr(args)
     grid = _grid_from_args(args, analysis.default_rmse_grid)
-    methods = _method_list(args.method, p, T, args)
+    methods = _methods(args, p, T)
     analog = controllers.qr_continuous(p)
     values = {}
     for m in methods:
@@ -230,7 +227,7 @@ def cmd_rmse(args) -> int:
 
 def cmd_pole_map(args) -> int:
     p, T = _qr(args)
-    requested = _method_list(args.method, p, T, args, extra=("exact",))
+    requested = _methods(args, p, T, extra=("exact",))
     records = analysis.pole_map_table(p, T, [m for m in requested if m != "exact"])
     if "exact" not in requested:
         records = records[1:]
@@ -254,7 +251,7 @@ def cmd_simulate_board(args) -> int:
     p, T = _qr(args)
     fs = 1.0 / T
     rows = []
-    for m in _method_list(args.method, p, T, args):
+    for m in _methods(args, p, T):
         label = transforms.method_label(m)
         biq = _discretize(p, m, T)
         coeffs = controllers.diff_eq_coeffs(biq)
@@ -303,7 +300,7 @@ def cmd_simulate_inverter(args) -> int:
     p = controllers.QrParams(c["kr_inv"], c["wc"], c["wn"])
     pi_leg = controllers.pi_discretize(controllers.PiParams(c["kp"], c["tau_i"]), T)
     rows = []
-    for m in _method_list(args.method, p, T, args, extra=("pi",)):
+    for m in _methods(args, p, T, extra=("pi",)):
         if m == "pi":
             name, legs = m, (pi_leg,)
         else:
@@ -405,41 +402,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(parent, name, text):
+    def command(parent, name, text, func=None, **common):
+        """A sub-parser; a leaf command also gets its handler and _add_common flags."""
         # a prefix must not stand for a flag: --fs is not --fs-ctrl
-        return parent.add_parser(name, help=text, allow_abbrev=False)
+        sp = parent.add_parser(name, help=text, allow_abbrev=False)
+        if func is not None:
+            _add_common(sp, **common)
+            sp.set_defaults(func=func)
+        return sp
 
-    sp = command(sub, "discretize", "closed-form biquad coefficients")
-    _add_common(sp)
+    sp = command(sub, "discretize", "closed-form biquad coefficients", cmd_discretize)
     sp.add_argument("--method", "--methods", default=METHOD_NAMES)
     sp.add_argument("--diffeq", action="store_true", help="also print normalized update coefficients")
-    sp.set_defaults(func=cmd_discretize)
 
-    sp = command(sub, "bode", "magnitude and phase over a grid")
-    _add_common(sp, with_grid=True)
+    sp = command(sub, "bode", "magnitude and phase over a grid", cmd_bode, with_grid=True)
     sp.add_argument("--method", default="analog", help="analog, euler, tustin, sota or sbt")
-    sp.set_defaults(func=cmd_bode)
 
-    sp = command(sub, "error", "analog minus discrete magnitude error")
-    _add_common(sp, with_grid=True)
+    sp = command(sub, "error", "analog minus discrete magnitude error", cmd_error, with_grid=True)
     sp.add_argument("--method", default="sbt")
-    sp.set_defaults(func=cmd_error)
 
-    sp = command(sub, "rmse", "magnitude error RMSE per method")
-    _add_common(sp, with_grid=True)
+    sp = command(sub, "rmse", "magnitude error RMSE per method", cmd_rmse, with_grid=True)
     sp.add_argument("--method", "--methods", default=METHOD_NAMES)
-    sp.set_defaults(func=cmd_rmse)
 
-    sp = command(sub, "pole-map", "pole landing table")
-    _add_common(sp)
+    sp = command(sub, "pole-map", "pole landing table", cmd_pole_map)
     sp.add_argument("--method", "--methods", default="exact," + METHOD_NAMES)
-    sp.set_defaults(func=cmd_pole_map)
 
     scenario = command(sub, "simulate", "steady-state sine test or inverter loop")
     scenarios = scenario.add_subparsers(dest="scenario", required=True)
 
-    sp = command(scenarios, "board", "steady-state sine response of each method")
-    _add_common(sp)
+    sp = command(scenarios, "board", "steady-state sine response of each method", cmd_simulate_board)
     sp.add_argument("--method", "--methods", default=METHOD_NAMES)
     sp.add_argument("--f", type=float, default=950.0, help="drive frequency, Hz")
     sp.add_argument("--amp", type=float, default=1.0, help="drive amplitude")
@@ -447,11 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="high-Q discrete resonators ring for hundreds of cycles")
     sp.add_argument("--measure-cycles", type=int, default=50)
     sp.add_argument("--trace-dir", default=None, help="write per-method trace CSVs here")
-    sp.set_defaults(func=cmd_simulate_board)
 
-    sp = command(scenarios, "inverter", "closed current loop with a grid harmonic, THD")
     # the loop runs at 1/--fs-ctrl with the gain kr_inv, set only through --config
-    _add_common(sp, constants=("--wc", "--wn", "--alpha", "--beta"))
+    sp = command(scenarios, "inverter", "closed current loop with a grid harmonic, THD",
+                 cmd_simulate_inverter, constants=("--wc", "--wn", "--alpha", "--beta"))
     sp.add_argument("--method", "--methods", default=METHOD_NAMES, help="also accepts pi")
     defaults = sim.InverterConfig()
     for flag, field, text in INVERTER_FLAGS:
@@ -459,10 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(flag, dest=field, type=type(value), default=value, help=text)
     sp.add_argument("--periods", type=int, default=10, help="grid periods measured for THD")
     sp.add_argument("--trace-dir", default=None, help="write per-method trace CSVs here")
-    sp.set_defaults(func=cmd_simulate_inverter)
 
-    sp = command(sub, "optimize", "search (alpha, beta) minimizing a loss")
-    _add_common(sp, constants=("--kr", "--wc", "--wn", "--fs"), with_grid=True)
+    sp = command(sub, "optimize", "search (alpha, beta) minimizing a loss", cmd_optimize,
+                 constants=("--kr", "--wc", "--wn", "--fs"), with_grid=True)
     sp.add_argument("--loss", choices=[k.replace("_", "-") for k in tuning.LOSS_KINDS],
                     default="mag-rmse-db")
     sp.add_argument("--alpha-range", default="0.5:1.0")
@@ -470,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coarse", type=int, default=41)
     sp.add_argument("--iters", type=int, default=40)
     sp.add_argument("--trace", default=None, help="write the evaluation trace CSV here")
-    sp.set_defaults(func=cmd_optimize)
 
     return ap
 

@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import NormalizationError, ParamError, StabilityRangeWarning
-from .lti import Polynomial, TransferFunction, parallel
+from .lti import Polynomial, TransferFunction, _check_period, parallel
 from .transforms import STABLE_ALPHA_MIN, Method, SbtParams, prewarp_factor, time_factors
 
 __all__ = [
@@ -190,8 +190,7 @@ def pi_discretize(p: PiParams, T: float) -> DiffEqCoeffs:
 
     y[n] = y[n-1] + Kp*(1 + T/(2*tau_i))*x[n] + Kp*(T/(2*tau_i) - 1)*x[n-1]
     """
-    if not T > 0:
-        raise ParamError("sample period must be positive")
+    _check_period(T)
     half = T / (2.0 * p.tau_i)
     return DiffEqCoeffs(
         kin0=p.kp * (1.0 + half),

@@ -3,12 +3,13 @@
 Polynomial coefficients are stored in ascending powers of the variable:
 ``coeffs[k]`` multiplies ``x**k``.  A transfer function is a pair of
 polynomials tagged with its domain, continuous (``dt is None``) or
-discrete with a fixed sample period (``dt > 0``).  Instances are frozen;
-every operation returns a new object.
+discrete with a positive, finite sample period ``dt``.  Instances are
+frozen; every operation returns a new object.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,13 @@ __all__ = ["Polynomial", "TransferFunction", "parallel", "quadratic_roots"]
 
 # |den| below this marks a pole hit, for a point and for a response sweep
 POLE_HIT_TOL = 1e-300
+
+
+def _check_period(T: float) -> None:
+    """The one rule for a sample period: a positive, finite real number
+    (a numpy scalar counts)."""
+    if not (isinstance(T, (int, float, np.integer, np.floating)) and T > 0.0 and math.isfinite(T)):
+        raise ParamError(f"sample period must be positive and finite, got {T!r}")
 
 
 def _horner(coeffs, x):
@@ -92,7 +100,7 @@ class TransferFunction:
     """Rational transfer function num/den with a domain tag.
 
     ``dt is None`` marks a continuous-time system in the Laplace variable s;
-    ``dt > 0`` marks a discrete-time system in z sampled every ``dt`` seconds.
+    otherwise ``dt`` is the sample period in seconds of a discrete-time system in z.
     """
 
     num: Polynomial
@@ -106,8 +114,8 @@ class TransferFunction:
             object.__setattr__(self, "den", Polynomial(self.den))
         if self.den.is_zero():
             raise ParamError("denominator polynomial is identically zero")
-        if self.dt is not None and not self.dt > 0:
-            raise ParamError("sample period dt must be positive")
+        if self.dt is not None:
+            _check_period(self.dt)
 
     @property
     def is_discrete(self) -> bool:

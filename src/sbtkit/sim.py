@@ -4,8 +4,8 @@ measurements, spectral distortion, and the grid-tied inverter loop.
 Both runners simulate every sample.  A linear system whose powers are
 shown to decay runs as a block state-space recursion in numpy; any other
 system (every one with spectral radius at least one), and any run whose
-block output leaves OVERFLOW_GUARD, runs through the per-step loop from
-sample 0, which raises the overflow error at the exact step.
+block output or final state leaves OVERFLOW_GUARD, runs the per-step
+loop from sample 0, which raises the overflow error at the exact step.
 
 The inverter model is the average model of an L-filtered bridge: the
 controller runs at the control rate, its output voltage command is
@@ -110,10 +110,10 @@ def _block_lti(A, B, C, D, inputs):
     C A^j s0 plus each input convolved with the first k Markov parameters
     D, CB, CAB, ...; the state after the block is A^k s0 plus the inputs
     weighted by A^(k-1-j) B (Burrus, "Block realization of digital
-    filters", 1972).  Returns the output rows and the final state, or None
-    when the per-step loop must run instead: A is not shown to decay
-    (spectral radius >= 1), or an output is not finite and below
-    OVERFLOW_GUARD.
+    filters", 1972).  Returns the output rows, or None when the per-step
+    loop must run instead: A is not shown to decay (spectral radius >= 1),
+    or an output or the state after the last sample is not finite and
+    below OVERFLOW_GUARD.
     """
     ns, m = B.shape
     p = C.shape[0]
@@ -148,7 +148,9 @@ def _block_lti(A, B, C, D, inputs):
             s = powers[k] @ s
             for i in range(m):
                 s += weights[i, :, K - k :] @ u[i]
-    return y, s
+        if not np.abs(s).max() < OVERFLOW_GUARD:
+            return None
+    return y
 
 
 def _legs_system(legs):
@@ -190,7 +192,7 @@ def run_difference_equation(coeffs, samples) -> np.ndarray:
     if x.size == 0:
         raise EmptyInput("no input samples")
     run = _block_lti(*_legs_system(legs), [x])
-    return _run_steps(legs, x) if run is None else run[0][0]
+    return _run_steps(legs, x) if run is None else run[0]
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,8 @@ def sine_steady_state(
     """
     if not 0.0 < f < 0.5 * fs:
         raise DomainError(f"need 0 < f < fs/2, got f={f!r}, fs={fs!r}")
+    if not math.isfinite(amp):
+        raise ParamError(f"amp must be finite, got {amp!r}")
     if settle_cycles < 0 or measure_cycles < 1:
         raise ParamError("settle_cycles must be >= 0 and measure_cycles >= 1")
     frac = _cycle_fraction(f, fs)
@@ -428,12 +432,7 @@ def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
 
     delay, coef = int(cfg.delay_samples), T / cfg.l_filter
     run = _block_lti(*_closed_loop_system(legs, delay, coef), [i_ref, v_grid])
-    # the per-step loop also guards the current after the last step, the
-    # last entry of the final state
-    if run is not None and abs(run[1][-1]) < OVERFLOW_GUARD:
-        i_grid, v_inv = run[0]
-    else:
-        i_grid, v_inv = _closed_loop_steps(legs, delay, coef, i_ref, v_grid)
+    i_grid, v_inv = _closed_loop_steps(legs, delay, coef, i_ref, v_grid) if run is None else run
     return SimTrace(t=t, i_grid=i_grid, v_grid=v_grid, v_inv=v_inv)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     ParamError,
     StabilityRangeWarning,
 )
-from .lti import Polynomial, TransferFunction
+from .lti import Polynomial, TransferFunction, _check_period
 
 __all__ = [
     "STABLE_ALPHA_MIN",
@@ -246,6 +246,7 @@ def time_factors(method: Method, omega_n: float, T: float) -> tuple[float, float
     k_w = prewarp_factor.  omega_n is the fallback design frequency for a
     TustinPrewarp tag that does not carry its own.
     """
+    _check_period(T)
     if isinstance(method, Sbt):
         return method.params.alpha, method.params.beta, method.params.beta
     if isinstance(method, TustinPrewarp):
@@ -261,10 +262,8 @@ def time_factors(method: Method, omega_n: float, T: float) -> tuple[float, float
 def method_params(method: Method, omega_n: float, T: float) -> SbtParams:
     """Resolve a method tag to its (alpha, beta) pair, beta being the time
     factor on the resonance (see time_factors)."""
-    if isinstance(method, Sbt):
-        return method.params
     alpha, _, beta_n = time_factors(method, omega_n, T)
-    return SbtParams(alpha, beta_n)
+    return method.params if isinstance(method, Sbt) else SbtParams(alpha, beta_n)
 
 
 def method_label(method: Method) -> str:
@@ -274,7 +273,3 @@ def method_label(method: Method) -> str:
             return name
     raise ParamError(f"unknown method tag {method!r}")
 
-
-def _check_period(T: float) -> None:
-    if not (isinstance(T, (int, float)) and T > 0.0 and math.isfinite(T)):
-        raise ParamError(f"sample period must be positive and finite, got {T!r}")

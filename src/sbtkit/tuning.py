@@ -38,7 +38,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_EVALUATIONS = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: the _context cache key
 class LossConfig:
     """What the scalar loss measures.
 
@@ -79,8 +79,8 @@ class SearchConfig:
         b_lo, b_hi = self.beta_range
         if not (0.5 <= a_lo <= a_hi <= 1.0):
             raise ParamError(f"alpha_range must satisfy 0.5 <= lo <= hi <= 1, got {self.alpha_range!r}")
-        if not (0.0 < b_lo <= b_hi):
-            raise ParamError(f"beta_range must satisfy 0 < lo <= hi, got {self.beta_range!r}")
+        if not (0.0 < b_lo <= b_hi < math.inf):
+            raise ParamError(f"beta_range must satisfy 0 < lo <= hi < inf, got {self.beta_range!r}")
         if self.coarse_points < 1:
             raise ParamError("coarse_points must be at least 1")
         if self.refine_iters < 0:

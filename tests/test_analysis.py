@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -345,3 +346,12 @@ def test_source_poles_reject_a_radicand_that_underflows():
         source_poles(p, T)
     # the pole-map rows take that real pole as it is
     assert [r.mapped_z for r in pole_map_table(p, T)] == [1.0] * 5
+
+
+@pytest.mark.parametrize("build", [FrequencyGrid.linear, FrequencyGrid.logarithmic])
+@pytest.mark.parametrize("f_lo, f_hi", [(1.0, math.inf), (-math.inf, 10.0)])
+def test_grid_constructors_reject_non_finite_edges_before_allocating(build, f_lo, f_hi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamError, match="finite"):
+            build(f_lo, f_hi, 5)

@@ -545,3 +545,18 @@ def test_analog_bode_overflow_raises_no_numpy_warning(capsys):
                            "--format", "json")
     assert code == 0
     assert [r["mag_db"] for r in json.loads(out)] == [None, None, None]
+
+
+def test_error_method_name_is_case_insensitive(capsys):
+    _, lower = run(capsys, "error", "--method", "sbt", "--grid", "900:1000:21", "--format", "csv")
+    code, upper = run(capsys, "error", "--method", "SBT", "--grid", "900:1000:21", "--format", "csv")
+    assert code == 0
+    assert upper == lower
+
+
+@pytest.mark.parametrize("command", ["bode", "error"])
+def test_single_method_commands_reject_a_list(capsys, command):
+    code, out, err = run_err(capsys, command, "--method", "sbt,euler")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--method" in err

@@ -16,6 +16,7 @@ from sbtkit import (
     Sbt,
     SbtParams,
     StabilityRangeWarning,
+    TransferFunction,
     Tustin,
     TustinPrewarp,
     diff_eq_coeffs,
@@ -26,6 +27,7 @@ from sbtkit import (
     pir_continuous,
     pir_discretize,
     prewarp_factor,
+    q_loss,
     qr_continuous,
     qr_discretize,
     sbt_params_straightforward,
@@ -249,3 +251,26 @@ def test_pir_discretize_returns_both_legs():
     assert len(legs) == 2
     assert legs[0] == pi_discretize(PI, Ts)
     assert legs[1] == diff_eq_coeffs(qr_discretize(inv, TustinPrewarp(), Ts))
+
+
+PERIOD_TAKERS = {
+    "qr_discretize": lambda period: qr_discretize(BOARD, Euler(), period),
+    "pi_discretize": lambda period: pi_discretize(PI, period),
+    "method_params euler": lambda period: method_params(Euler(), WN, period),
+    "method_params sbt": lambda period: method_params(Sbt(SbtParams(0.6, 1.0)), WN, period),
+    "TransferFunction": lambda period: TransferFunction([1.0], [1.0, 1.0], dt=period),
+    "q_loss": lambda period: q_loss(0.6, 1.0, BOARD, period),
+}
+
+
+@pytest.mark.parametrize("period", [-5e-5, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize("name", sorted(PERIOD_TAKERS))
+def test_every_function_that_takes_a_period_rejects_an_invalid_one(name, period):
+    with pytest.raises(ParamError, match="sample period must be positive and finite"):
+        PERIOD_TAKERS[name](period)
+
+
+@pytest.mark.parametrize("period", [np.float32(5e-5), np.float64(5e-5), 1])
+def test_a_period_of_any_real_type_is_accepted(period):
+    assert qr_discretize(BOARD, Euler(), period).to_transfer(period).dt == period
+    assert pi_discretize(PI, period).kout1 == 1.0

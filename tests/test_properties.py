@@ -3,10 +3,11 @@ and the pole map, the map against its inverse and its stability circle,
 and fuzzed CLI flags against the exit-code contract."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbtkit import (
@@ -16,7 +17,9 @@ from sbtkit import (
     QrParams,
     Sbt,
     SbtParams,
+    StabilityRangeWarning,
     TustinPrewarp,
+    UnstableWarning,
     cli,
     pole_map_table,
     qr_continuous,
@@ -186,4 +189,74 @@ def test_fuzzed_simulate_flags_keep_the_exit_code_contract(scenario, data, metho
         code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
+    assert code in (0, 2, 3, 4), argv
+
+
+EXTREMES = ["inf", "-inf", "nan", "1e308", "-1e308", "1e-320", "0", "-1"]
+
+
+def _value(lo, hi):
+    """A finite value in [lo, hi] three times in four, else an extreme of a double."""
+    return st.integers(0, 3).flatmap(
+        lambda i: st.floats(lo, hi).map(repr) if i else st.sampled_from(EXTREMES))
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map(lambda t: ":".join(v for v in t if v is not None))
+
+
+def _flags(**special):
+    return st.fixed_dictionaries({}, optional=special)
+
+
+# a finite value of each constant lies in the range the reference board sits in
+CONSTANTS = {
+    "--kr": _value(1.0, 100.0), "--wc": _value(1.0, 100.0), "--wn": _value(500.0, 20000.0),
+    "--fs": _value(5000.0, 40000.0), "--alpha": _value(0.5, 1.0), "--beta": _value(0.9, 1.1),
+}
+ANY = st.floats().map(repr)
+GRID = {"--grid": _joined(_value(1.0, 9000.0) | ANY, _value(1.0, 9000.0) | ANY,
+                          st.integers(1, 5).map(str), st.sampled_from([None, "log"]))}
+RANGES = {
+    "--alpha-range": _joined(_value(0.5, 1.0) | ANY, _value(0.5, 1.0) | ANY),
+    "--beta-range": _joined(_value(0.9, 1.1) | ANY, _value(0.9, 1.1) | ANY),
+}
+OPTIMIZE = ("optimize", "--coarse", "3", "--iters", "1")
+BOARD = ("simulate", "board", "--settle-cycles", "20", "--measure-cycles", "4")
+
+# an optimize run makes at most 14 loss evaluations; a board run reads at
+# most about 20,000 samples per method, since a finite --f/--fs is >= 1/400
+WARNING_FUZZ = {
+    ("discretize", "--diffeq"): _flags(**CONSTANTS),
+    ("pole-map",): _flags(**CONSTANTS),
+    ("bode",): _flags(**CONSTANTS, **GRID),
+    ("error",): _flags(**CONSTANTS, **GRID),
+    ("rmse",): _flags(**CONSTANTS, **GRID),
+    OPTIMIZE: _flags(**{k: CONSTANTS[k] for k in ("--kr", "--wc", "--wn", "--fs")}, **GRID, **RANGES),
+    BOARD: _flags(**CONSTANTS, **{"--amp": _value(0.1, 10.0), "--f": _value(100.0, 5000.0)}),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(sorted(WARNING_FUZZ)).flatmap(
+        lambda command: st.tuples(st.just(command), WARNING_FUZZ[command])),
+    fmt=st.sampled_from(["table", "csv", "json"]),
+)
+@example(case=(BOARD, {"--amp": "inf"}), fmt="table")
+@example(case=(OPTIMIZE, {"--beta-range": "0.9:inf"}), fmt="table")
+@example(case=(("bode",), {"--grid": "1:inf:5"}), fmt="csv")
+@example(case=(OPTIMIZE, {"--grid": "1:inf:5"}), fmt="table")
+@example(case=(("bode",), {"--grid": "1:1e308:5:log"}), fmt="json")
+def test_fuzzed_float_flags_raise_no_numpy_warning(case, fmt):
+    command, flags = case
+    argv = list(command) + [f"{k}={v}" for k, v in flags.items()] + [f"--format={fmt}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the run
+        warnings.simplefilter("ignore", StabilityRangeWarning)
+        warnings.simplefilter("ignore", UnstableWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     assert code in (0, 2, 3, 4), argv

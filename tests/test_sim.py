@@ -372,3 +372,22 @@ def test_trace_thd_rejects_fewer_than_one_period(periods):
     trace = inverter_closed_loop(cfg, inverter_legs(TustinPrewarp()))
     with pytest.raises(ParamError, match=f"periods must be at least 1, got {periods}"):
         trace_thd(trace, cfg, periods=periods)
+
+
+def test_a_final_state_beyond_the_guard_takes_the_per_step_route():
+    # the last input has not reached the delay leg's output yet: only the
+    # state after the last sample holds it
+    x = np.sin(np.arange(sim.BLOCK + 7) * 0.1)
+    x[-1] = 2e12
+    assert sim._block_lti(*sim._legs_system([DELAY_ONE]), [x]) is None
+    got = run_difference_equation(DELAY_ONE, x)
+    assert np.array_equal(got, sim._run_steps([DELAY_ONE], x))
+    assert np.array_equal(got[1:], x[:-1])
+
+
+@pytest.mark.parametrize("amp", [math.inf, -math.inf, math.nan])
+def test_sine_probe_rejects_a_non_finite_amplitude(amp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamError, match="amp must be finite"):
+            sine_steady_state(DELAY_ONE, 950.0, FS, amp=amp)

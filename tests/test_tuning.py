@@ -182,3 +182,15 @@ def test_search_evaluation_cap():
         SearchConfig(coarse_points=2, refine_iters=iters + 1)
     with pytest.raises(ParamError, match="MAX_EVALUATIONS"):
         SearchConfig(coarse_points=100000, refine_iters=1)
+
+
+def test_search_box_needs_a_finite_upper_beta_bound():
+    with pytest.raises(ParamError, match="beta_range"):
+        SearchConfig(beta_range=(0.9, math.inf))
+
+
+def test_loss_config_compares_by_identity():
+    # the loss-context cache keys on the config object, not on its grid values
+    cfg = LossConfig()
+    assert cfg == cfg and cfg != LossConfig()
+    assert hash(cfg) == object.__hash__(cfg)

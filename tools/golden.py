@@ -1,8 +1,8 @@
 """Golden output of the sbtkit CLI: one line per case, for diffing two trees.
 
 Runs every subcommand in table, csv and json at the reference board and at
-six seeded boards, plus cases that must end in exit 2, 3 or 4, all in
-process through ``sbtkit.cli.main``.  Each case prints its exit code, a
+six seeded boards, plus cases that must end in exit 2, 3 or 4 and edge
+cases that must end in exit 0, all in process through ``sbtkit.cli.main``.  Each case prints its exit code, a
 sha256 over stdout, stderr, the warnings raised and every file the case
 wrote, and its argv.  Temporary paths print as ``{tmp}``.
 
@@ -51,6 +51,12 @@ ERROR_CASES = [
     ("bode", "--grid", "10:9000:1000000000000"),
     ("optimize", "--coarse", "100000", "--iters", "1"),
     ("simulate", "inverter", "--delay-samples", "100000"),
+    ("bode", "--method", "sbt,euler"),
+    # exit 2 without a raw numpy warning: a non-finite drive, search bound or grid edge
+    ("simulate", "board", "--amp", "inf"),
+    ("optimize", "--beta-range", "0.9:inf"),
+    ("bode", "--grid", "1:inf:5"),
+    ("optimize", "--grid", "1:inf:5"),
     # exit 3: a domain error of the math
     ("discretize", "--method", "sota", "--fs", "1000"),
     ("discretize", "--method", "euler", "--wn", "1e200"),
@@ -64,6 +70,9 @@ ERROR_CASES = [
     ("simulate", "inverter", "--method", "sbt", "--alpha", "0.0", "--duration", "0.5",
      "--trace-dir", "{tmp}"),
     ("simulate", "inverter", "--method", "sota", "--i-ref", "2e12"),
+    # exit 0: a method name in capitals, a grid whose top points overflow to null
+    ("error", "--method", "SBT"),
+    ("bode", "--grid", "1:1e308:5:log", "--format", "json"),
 ]
 
 
