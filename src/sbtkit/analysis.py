@@ -140,12 +140,14 @@ def alternative_rmse_grids() -> dict[str, FrequencyGrid]:
 def load_grid_file(path: str) -> FrequencyGrid:
     """Read an explicit grid: one frequency in Hz per line, # comments allowed."""
     pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            pts.append(float(line))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    pts.append(float(line))
+    except ValueError as exc:  # a line that is not a number, or bytes that are not UTF-8
+        raise ParamError(f"grid file {path!r}: {exc}") from exc
     if not pts:
         raise EmptyInput(f"no frequencies found in {path!r}")
     return FrequencyGrid(tuple(pts), "explicit")

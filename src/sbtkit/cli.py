@@ -22,6 +22,7 @@ import numpy as np
 
 from . import analysis, controllers, sim, transforms, tuning
 from .errors import NumericOverflow, ParamError, SbtkitError
+from .lti import _check_positive
 
 DEFAULTS = {
     "kr": 59.1,
@@ -75,7 +76,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise ParamError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParamError("config file must hold a JSON object")
@@ -88,6 +89,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _constants(args) -> dict:
+    """DEFAULTS, then --config, then the flags: resolved once per run by main."""
     merged = dict(DEFAULTS)
     merged.update(_load_config(getattr(args, "config", None)))
     for key in merged:
@@ -98,9 +100,8 @@ def _constants(args) -> dict:
 
 
 def _qr(args) -> tuple[controllers.QrParams, float]:
-    c = _constants(args)
-    if not 0 < c["fs"] < math.inf:
-        raise ParamError(f"fs must be positive and finite, got {c['fs']!r}")
+    c = args.constants
+    _check_positive("fs", c["fs"])
     return controllers.QrParams(c["kr"], c["wc"], c["wn"]), 1.0 / c["fs"]
 
 
@@ -141,30 +142,30 @@ def _grid_from_args(args, fallback) -> analysis.FrequencyGrid:
     if getattr(args, "grid_file", None):
         return analysis.load_grid_file(args.grid_file)
     if getattr(args, "grid", None):
-        lo, hi, n, kind = _parse_grid_spec(args.grid)
-        if kind == "log":
-            return analysis.FrequencyGrid.logarithmic(lo, hi, n)
-        return analysis.FrequencyGrid.linear(lo, hi, n)
+        lo, hi, n, *kind = _colon_spec(
+            args.grid, "grid spec", "lo:hi:n or lo:hi:n:log", float, float, int, str)
+        if n < 1:
+            raise ParamError(f"grid spec {args.grid!r} needs at least one point")
+        if kind not in ([], ["linear"], ["log"]):
+            raise ParamError(f"grid spec {args.grid!r}: kind must be linear or log")
+        grid = analysis.FrequencyGrid.logarithmic if kind == ["log"] else analysis.FrequencyGrid.linear
+        return grid(lo, hi, n)
     env = os.environ.get(GRID_ENV)
     if env:
         return analysis.load_grid_file(env)
     return fallback()
 
 
-def _parse_grid_spec(spec: str):
+def _colon_spec(spec: str, name: str, form: str, *types) -> tuple:
+    """The fields of a colon spec such as lo:hi, each converted by its type;
+    a last field of type str may be left out.  Messages quote spec as given."""
     parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise ParamError("grid spec must be lo:hi:n or lo:hi:n:log")
+    if not len(types) - (types[-1] is str) <= len(parts) <= len(types):
+        raise ParamError(f"{name} must be {form}, got {spec!r}")
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        return tuple(t(x) for t, x in zip(types, parts))
     except ValueError as exc:
-        raise ParamError(f"grid spec {spec!r}: {exc}") from exc
-    if n < 1:
-        raise ParamError(f"grid spec {spec!r} needs at least one point")
-    kind = parts[3] if len(parts) == 4 else "linear"
-    if kind not in ("linear", "log"):
-        raise ParamError(f"grid kind must be linear or log, got {kind!r}")
-    return lo, hi, n, kind
+        raise ParamError(f"{name} {spec!r}: {exc}") from exc
 
 
 def cmd_discretize(args) -> int:
@@ -249,7 +250,7 @@ def cmd_pole_map(args) -> int:
 
 def cmd_simulate_board(args) -> int:
     p, T = _qr(args)
-    fs = 1.0 / T
+    fs = args.constants["fs"]
     rows = []
     for m in _methods(args, p, T):
         label = transforms.method_label(m)
@@ -294,7 +295,7 @@ def _write_board_trace(coeffs, f: float, fs: float, amp: float, path: str) -> No
 
 
 def cmd_simulate_inverter(args) -> int:
-    c = _constants(args)
+    c = args.constants
     cfg = sim.InverterConfig(**{field: getattr(args, field) for _, field, _ in INVERTER_FLAGS})
     T = 1.0 / cfg.fs_ctrl
     p = controllers.QrParams(c["kr_inv"], c["wc"], c["wn"])
@@ -323,8 +324,8 @@ def cmd_optimize(args) -> int:
     grid = _grid_from_args(args, analysis.default_rmse_grid)
     loss_cfg = tuning.LossConfig(grid=grid, loss_kind=args.loss.replace("-", "_"))
     search = tuning.SearchConfig(
-        alpha_range=_parse_range(args.alpha_range),
-        beta_range=_parse_range(args.beta_range),
+        alpha_range=_colon_spec(args.alpha_range, "range", "lo:hi", float, float),
+        beta_range=_colon_spec(args.beta_range, "range", "lo:hi", float, float),
         coarse_points=args.coarse,
         refine_iters=args.iters,
     )
@@ -350,16 +351,6 @@ def cmd_optimize(args) -> int:
         f"evaluations = {len(res.trace)}",
     ]
     return _emit(args, [summary], list(summary), table, summary)
-
-
-def _parse_range(spec: str) -> tuple[float, float]:
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ParamError(f"range must be lo:hi, got {spec!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ParamError(f"range {spec!r}: {exc}") from exc
 
 
 CONSTANT_HELP = {
@@ -466,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.constants = _constants(args)
         return args.func(args)
     except (ParamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -477,7 +469,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OverflowError:
-        values = ", ".join(f"{k}={v!r}" for k, v in _constants(args).items())
+        values = ", ".join(f"{k}={v!r}" for k, v in args.constants.items())
         print(f"error: double-precision overflow with {values}", file=sys.stderr)
         return 3
 

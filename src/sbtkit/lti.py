@@ -22,11 +22,11 @@ __all__ = ["Polynomial", "TransferFunction", "parallel", "quadratic_roots"]
 POLE_HIT_TOL = 1e-300
 
 
-def _check_period(T: float) -> None:
-    """The one rule for a sample period: a positive, finite real number
-    (a numpy scalar counts)."""
-    if not (isinstance(T, (int, float, np.integer, np.floating)) and T > 0.0 and math.isfinite(T)):
-        raise ParamError(f"sample period must be positive and finite, got {T!r}")
+def _check_positive(name: str, x) -> None:
+    """The one rule for a value that must be a positive, finite real number
+    (a numpy scalar counts): sample periods, gains, time constants, beta."""
+    if not (isinstance(x, (int, float, np.integer, np.floating)) and x > 0.0 and math.isfinite(x)):
+        raise ParamError(f"{name} must be positive and finite, got {x!r}")
 
 
 def _horner(coeffs, x):
@@ -115,7 +115,7 @@ class TransferFunction:
         if self.den.is_zero():
             raise ParamError("denominator polynomial is identically zero")
         if self.dt is not None:
-            _check_period(self.dt)
+            _check_positive("sample period", self.dt)
 
     @property
     def is_discrete(self) -> bool:

@@ -30,7 +30,7 @@ from .errors import (
     ParamError,
     StabilityRangeWarning,
 )
-from .lti import Polynomial, TransferFunction, _check_period
+from .lti import Polynomial, TransferFunction, _check_positive
 
 __all__ = [
     "STABLE_ALPHA_MIN",
@@ -58,6 +58,13 @@ __all__ = [
 STABLE_ALPHA_MIN = 0.5
 
 
+def _warn_unstable_alpha(alpha: float) -> None:
+    """The one StabilityRangeWarning (alpha below STABLE_ALPHA_MIN), pointed at the caller's caller."""
+    if alpha < STABLE_ALPHA_MIN:
+        msg = f"alpha={alpha} below {STABLE_ALPHA_MIN}: discretized poles may leave the unit disk"
+        warnings.warn(msg, StabilityRangeWarning, stacklevel=3)
+
+
 @dataclass(frozen=True)
 class SbtParams:
     """Shape factor alpha in [0, 1] and time factor beta > 0."""
@@ -68,8 +75,7 @@ class SbtParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ParamError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not 0.0 < self.beta < math.inf:
-            raise ParamError(f"beta must be positive and finite, got {self.beta!r}")
+        _check_positive("beta", self.beta)
 
     def in_stable_range(self) -> bool:
         """True when every stable s-plane pole maps inside the unit circle."""
@@ -121,7 +127,7 @@ class StabilityCircle:
 
 def z_from_s(s: complex, p: SbtParams, T: float) -> complex:
     """Map an s-plane point to its z-plane image."""
-    _check_period(T)
+    _check_positive("sample period", T)
     den = 1.0 - p.alpha * p.beta * T * s
     if abs(den) < 1e-15:
         raise MapSingularity(f"s={s!r} lies on the map singularity 1/(alpha*beta*T)")
@@ -139,7 +145,7 @@ def s_from_z(z: complex, p: SbtParams, T: float) -> complex:
 
     which agree with dividing (z - 1) by beta*T*(alpha*z + 1 - alpha).
     """
-    _check_period(T)
+    _check_positive("sample period", T)
     g, zt = z.real, z.imag
     d = (p.alpha * g + 1.0 - p.alpha) ** 2 + (p.alpha * zt) ** 2
     if d < 1e-30:
@@ -152,7 +158,7 @@ def s_from_z(z: complex, p: SbtParams, T: float) -> complex:
 
 def exact_z_from_s(s: complex, T: float) -> complex:
     """Reference map z = exp(s*T)."""
-    _check_period(T)
+    _check_positive("sample period", T)
     return cmath.exp(s * T)
 
 
@@ -162,7 +168,7 @@ def equivalent_s_from_z(z: complex, T: float) -> complex:
     The imaginary part is taken from the two-argument angle, so points in
     the upper half plane give omega in (0, pi/T].  z = 0 is rejected.
     """
-    _check_period(T)
+    _check_positive("sample period", T)
     if z == 0:
         raise OriginError("z = 0 has no equivalent s-plane point")
     return complex(math.log(abs(z)) / T, cmath.phase(z) / T)
@@ -174,7 +180,7 @@ def prewarp_factor(omega_n: float, T: float) -> float:
     Requires 0 < omega_n*T/2 < pi/2, i.e. omega_n below the angular
     Nyquist rate.
     """
-    _check_period(T)
+    _check_positive("sample period", T)
     x = omega_n * T / 2.0
     if not 0.0 < x < math.pi / 2.0:
         raise DomainError(f"omega_n*T/2 = {x!r} outside (0, pi/2)")
@@ -205,16 +211,10 @@ def substitute(tf: TransferFunction, p: SbtParams, T: float) -> TransferFunction
     No further normalization is applied, so degree-2 inputs reproduce the
     closed-form biquad columns coefficient for coefficient.
     """
-    _check_period(T)
+    _check_positive("sample period", T)
     if tf.is_discrete:
         raise DomainError("substitute expects a continuous-time system")
-    if not p.in_stable_range():
-        warnings.warn(
-            f"alpha={p.alpha} below {STABLE_ALPHA_MIN}: stability of the image "
-            "is not guaranteed",
-            StabilityRangeWarning,
-            stacklevel=2,
-        )
+    _warn_unstable_alpha(p.alpha)
     n = max(tf.num.degree, tf.den.degree)
     zm1 = Polynomial([-1.0, 1.0])
     azb = Polynomial([1.0 - p.alpha, p.alpha])
@@ -246,7 +246,7 @@ def time_factors(method: Method, omega_n: float, T: float) -> tuple[float, float
     k_w = prewarp_factor.  omega_n is the fallback design frequency for a
     TustinPrewarp tag that does not carry its own.
     """
-    _check_period(T)
+    _check_positive("sample period", T)
     if isinstance(method, Sbt):
         return method.params.alpha, method.params.beta, method.params.beta
     if isinstance(method, TustinPrewarp):

@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import FrequencyGrid, _mag_db, _points, _ratio, complex_response, default_rmse_grid
 from .controllers import QrParams, qr_continuous, qr_discretize, sbt_params_straightforward, upper_pole
 from .errors import DomainError, ParamError, UnstableWarning
-from .transforms import Sbt, SbtParams, equivalent_s_from_z, z_from_s
+from .transforms import STABLE_ALPHA_MIN, Sbt, SbtParams, equivalent_s_from_z, z_from_s
 
 __all__ = [
     "LossConfig",
@@ -77,8 +77,9 @@ class SearchConfig:
     def __post_init__(self):
         a_lo, a_hi = self.alpha_range
         b_lo, b_hi = self.beta_range
-        if not (0.5 <= a_lo <= a_hi <= 1.0):
-            raise ParamError(f"alpha_range must satisfy 0.5 <= lo <= hi <= 1, got {self.alpha_range!r}")
+        if not (STABLE_ALPHA_MIN <= a_lo <= a_hi <= 1.0):
+            raise ParamError(f"alpha_range must satisfy {STABLE_ALPHA_MIN} <= lo <= hi <= 1, "
+                             f"got {self.alpha_range!r}")
         if not (0.0 < b_lo <= b_hi < math.inf):
             raise ParamError(f"beta_range must satisfy 0 < lo <= hi < inf, got {self.beta_range!r}")
         if self.coarse_points < 1:

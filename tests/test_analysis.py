@@ -355,3 +355,11 @@ def test_grid_constructors_reject_non_finite_edges_before_allocating(build, f_lo
         warnings.simplefilter("error")
         with pytest.raises(ParamError, match="finite"):
             build(f_lo, f_hi, 5)
+
+
+@pytest.mark.parametrize("content", [b"900\nabc\n", b"900\n\xff\n"], ids=["not-a-number", "not-utf8"])
+def test_load_grid_file_names_the_file_for_an_unreadable_line(tmp_path, content):
+    path = tmp_path / "grid.txt"
+    path.write_bytes(content)
+    with pytest.raises(ParamError, match="grid file .*grid.txt"):
+        load_grid_file(str(path))

@@ -560,3 +560,57 @@ def test_single_method_commands_reject_a_list(capsys, command):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "--method" in err
+
+
+@pytest.mark.parametrize("content", [b"900\nabc\n", b"900\n\xff\n"], ids=["not-a-number", "not-utf8"])
+def test_unreadable_grid_file_exits_2(tmp_path, capsys, monkeypatch, content):
+    path = tmp_path / "grid.txt"
+    path.write_bytes(content)
+    code, out, err = run_err(capsys, "rmse", "--grid-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: grid file {str(path)!r}: ") and err.count("\n") == 1
+    monkeypatch.setenv(cli.GRID_ENV, str(path))
+    code, out, err = run_err(capsys, "optimize", "--coarse", "3", "--iters", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: grid file {str(path)!r}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff", "is not valid JSON"), (b"[1, 2", "is not valid JSON"),
+     (b"[1, 2]", "config file must hold a JSON object")],
+    ids=["not-utf8", "invalid-json", "json-list"],
+)
+def test_unreadable_config_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "board.json"
+    path.write_bytes(content)
+    code, out, err = run_err(capsys, "discretize", "--config", str(path))
+    assert code == 2 and out == ""
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("discretize", "--method", ","), 2, "no methods requested"),
+        (("bode", "--grid", "1:2:3:cubic"), 2, "kind must be linear or log"),
+        (("optimize", "--alpha-range", "0.5"), 2, "range must be lo:hi"),
+        (("simulate", "inverter", "--methods", "pi", "--harmonic-amp", "-1"), 2, "non-negative"),
+        (("simulate", "inverter", "--methods", "pi", "--fs-ctrl", "40001"), 3,
+         "does not give whole samples per period"),
+    ],
+)
+def test_rejected_arguments_end_in_one_error_line(capsys, argv, code, message):
+    got, out, err = run_err(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_output_onto_a_directory_exits_2_and_leaves_no_temporary(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    code, out, err = run_err(capsys, "discretize", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list(target.iterdir()) == []

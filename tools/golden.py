@@ -4,7 +4,9 @@ Runs every subcommand in table, csv and json at the reference board and at
 six seeded boards, plus cases that must end in exit 2, 3 or 4 and edge
 cases that must end in exit 0, all in process through ``sbtkit.cli.main``.  Each case prints its exit code, a
 sha256 over stdout, stderr, the warnings raised and every file the case
-wrote, and its argv.  Temporary paths print as ``{tmp}``.
+wrote, and its argv.  Temporary paths print as ``{tmp}`` (the case's
+directory) and ``{config}`` (the config and grid files), also inside the
+hashed output.
 
     python3 tools/golden.py > golden.txt
 
@@ -47,6 +49,10 @@ ERROR_CASES = [
     ("simulate", "inverter", "--duration", "nan"),
     ("simulate", "inverter", "--method", "pi,simpson", "--trace-dir", "{tmp}"),
     ("simulate", "inverter", "--duration", "1e6"),
+    # exit 2: a grid file with a line that is not a number or not UTF-8, a config not UTF-8
+    ("rmse", "--grid-file", "{config}/grid_abc.txt"),
+    ("rmse", "--grid-file", "{config}/grid_bytes.txt"),
+    ("discretize", "--config", "{config}/bytes.json"),
     ("simulate", "board", "--settle-cycles", "1000000000"),
     ("bode", "--grid", "10:9000:1000000000000"),
     ("optimize", "--coarse", "100000", "--iters", "1"),
@@ -141,10 +147,14 @@ def all_cases(config_dir: str) -> list[tuple[str, ...]]:
             cases += [argv + ("--format", fmt) for fmt in FORMATS]
     with open(os.path.join(config_dir, "kr_inv.json"), "w", encoding="utf-8") as fh:
         json.dump({"kr_inv": 1e308}, fh)
+    for name, content in (("grid_abc.txt", b"900\nabc\n"), ("grid_bytes.txt", b"900\n\xff\n"),
+                          ("bytes.json", b"\xff")):
+        with open(os.path.join(config_dir, name), "wb") as fh:
+            fh.write(content)
     return cases + [tuple(a.replace("{config}", config_dir) for a in argv) for argv in ERROR_CASES]
 
 
-def run_case(argv: tuple[str, ...], tmp: str) -> tuple[int, str]:
+def run_case(argv: tuple[str, ...], tmp: str, config_dir: str) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -155,7 +165,7 @@ def run_case(argv: tuple[str, ...], tmp: str) -> tuple[int, str]:
             code = exc.code
     digest = hashlib.sha256()
     for part in (out.getvalue(), err.getvalue()):
-        digest.update(part.replace(tmp, "{tmp}").encode() + b"\0")
+        digest.update(part.replace(tmp, "{tmp}").replace(config_dir, "{config}").encode() + b"\0")
     for w in caught:
         digest.update(f"{w.category.__name__}: {w.message}".encode() + b"\0")
     for name in sorted(os.listdir(tmp)):
@@ -172,7 +182,7 @@ def main() -> int:
         for i, argv in enumerate(all_cases(config_dir)):
             tmp = os.path.join(root, f"case{i}")
             os.mkdir(tmp)
-            code, digest = run_case(argv, tmp)
+            code, digest = run_case(argv, tmp, config_dir)
             label = " ".join(a.replace(config_dir, "{config}") for a in argv)
             print(f"{code} {digest} {label}", flush=True)
     return 0
