@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NormalizationError, ParamError
-from .lti import Polynomial, TransferFunction, _check_positive, parallel
+from .lti import Polynomial, TransferFunction, _REAL, _check_positive, parallel
 from .transforms import Method, SbtParams, _warn_unstable_alpha, prewarp_factor, time_factors
 
 __all__ = [
@@ -52,7 +52,8 @@ class QrParams:
 
     def __post_init__(self):
         _check_positive("kr", self.kr)
-        if not 0 < self.omega_c < self.omega_n < math.inf:
+        wc, wn = self.omega_c, self.omega_n
+        if not (isinstance(wc, _REAL) and isinstance(wn, _REAL) and 0 < wc < wn < math.inf):
             raise ParamError(
                 f"need 0 < omega_c < omega_n < inf, got omega_c={self.omega_c!r} "
                 f"omega_n={self.omega_n!r}"

@@ -22,10 +22,14 @@ __all__ = ["Polynomial", "TransferFunction", "parallel", "quadratic_roots"]
 POLE_HIT_TOL = 1e-300
 
 
+# what counts as a real number: a Python int or float, or a numpy scalar of either
+_REAL = (int, float, np.integer, np.floating)
+
+
 def _check_positive(name: str, x) -> None:
     """The one rule for a value that must be a positive, finite real number
     (a numpy scalar counts): sample periods, gains, time constants, beta."""
-    if not (isinstance(x, (int, float, np.integer, np.floating)) and x > 0.0 and math.isfinite(x)):
+    if not (isinstance(x, _REAL) and x > 0.0 and math.isfinite(x)):
         raise ParamError(f"{name} must be positive and finite, got {x!r}")
 
 

@@ -2,10 +2,12 @@
 measurements, spectral distortion, and the grid-tied inverter loop.
 
 Both runners simulate every sample.  A linear system whose powers are
-shown to decay runs as a block state-space recursion in numpy; any other
-system (every one with spectral radius at least one), and any run whose
-block output or final state leaves OVERFLOW_GUARD, runs the per-step
-loop from sample 0, which raises the overflow error at the exact step.
+shown to decay runs as a block state-space recursion in numpy: matrix
+products over all blocks of BLOCK samples at once, and one loop over the
+block-edge states.  Any other system (every one with spectral radius at
+least one), and any run whose output, block-edge state or final state
+leaves OVERFLOW_GUARD, runs the per-step loop from sample 0, which raises
+the overflow error at the exact step.
 
 The inverter model is the average model of an L-filtered bridge: the
 controller runs at the control rate, its output voltage command is
@@ -18,6 +20,7 @@ fundamental sine.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -25,6 +28,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .controllers import DiffEqCoeffs
 from .errors import (
@@ -50,8 +54,9 @@ __all__ = [
 ]
 
 OVERFLOW_GUARD = 1e12
-# samples per block of the block state-space runner
-BLOCK = 256
+# samples per block of the block state-space runner: each block's convolution
+# is a BLOCK x BLOCK matrix product, and the block edges a loop of total/BLOCK
+BLOCK = 64
 # most samples one run may ask for (about 105 s at the 40 kHz control rate)
 MAX_SAMPLES = 2**22
 # longest bridge delay line; the loop's state matrix grows as its square
@@ -102,18 +107,34 @@ def _decays(A) -> bool:
     return False
 
 
+def _within_guard(a) -> bool:
+    """Whether every entry of a is finite and below OVERFLOW_GUARD in size."""
+    return bool(-OVERFLOW_GUARD < a.min() and a.max() < OVERFLOW_GUARD)
+
+
 def _block_lti(A, B, C, D, inputs):
     """Response of s[n+1] = A s[n] + B u[n], y[n] = C s[n] + D u[n] from
-    s[0] = 0 to the input rows u, BLOCK samples at a time.
+    s[0] = 0 to the input rows u, in blocks of K = BLOCK samples.
 
-    Inside a block of k samples that starts in state s0, the outputs are
-    C A^j s0 plus each input convolved with the first k Markov parameters
-    D, CB, CAB, ...; the state after the block is A^k s0 plus the inputs
-    weighted by A^(k-1-j) B (Burrus, "Block realization of digital
-    filters", 1972).  Returns the output rows, or None when the per-step
-    loop must run instead: A is not shown to decay (spectral radius >= 1),
-    or an output or the state after the last sample is not finite and
-    below OVERFLOW_GUARD.
+    Inside a block that starts in state s0, the outputs are C A^j s0 plus
+    each input convolved with the Markov parameters D, CB, CAB, ...; the
+    state after the block is A^K s0 plus the inputs weighted by
+    A^(K-1-j) B (Burrus, "Block realization of digital filters", 1972).
+    With each input's whole blocks as the rows of an (nb, K) view, every
+    block's convolution is one product with a K x K lower-triangular
+    Toeplitz matrix of the Markov parameters, every block's input drive
+    on the state is one product with the A^(K-1-j) B rows, and every
+    block's state response is one product of the block-edge states with
+    the C A^j rows.  Only the edge-state recursion s <- A^K s + drive
+    runs as a loop, once per block.  A last block shorter than K and the
+    state after the last sample are done on their own.  The sums round
+    in another order than the per-step loop: outputs agree with it within
+    1e-12 of the signal peak.
+
+    Returns the output rows, or None when the per-step loop must run
+    instead: A is not shown to decay (spectral radius >= 1), or an
+    output, a block-edge state or the state after the last sample is not
+    finite and below OVERFLOW_GUARD.
     """
     ns, m = B.shape
     p = C.shape[0]
@@ -122,34 +143,48 @@ def _block_lti(A, B, C, D, inputs):
         if not _decays(A):
             return None
         K = min(BLOCK, total)
+        nb, tail = divmod(total, K)
         powers = np.empty((K + 1, ns, ns))  # A^0 .. A^K
         powers[0] = np.eye(ns)
         for k in range(K):
             powers[k + 1] = powers[k] @ A
-        state_out = np.einsum("os,kst->okt", C, powers[:K])  # [o, j] = row o of C A^j
-        markov = np.empty((p, m, K))
-        markov[:, :, 0] = D
-        markov[:, :, 1:] = np.einsum("okt,ti->oik", state_out[:, : K - 1], B)
-        weights = np.einsum("kst,ti->isk", powers[K - 1 :: -1], B)  # [i, :, j] = A^(K-1-j) B
+        state_out = (C @ powers[:K]).transpose(1, 0, 2)  # [o, j] = row o of C A^j
+        weights = (powers[K - 1 :: -1] @ B).transpose(2, 0, 1)  # [i, j] = A^(K-1-j) B_i
+        # the Markov parameters D, CB, CAB, ... after K - 1 zeros
+        markov = np.zeros((p, m, 2 * K - 1))
+        markov[:, :, K - 1] = D
+        markov[:, :, K:] = (state_out[:, : K - 1] @ B).transpose(0, 2, 1)
+        # [o, i, j, k] = Markov parameter k - j, 0 for k < j: a row of inputs times it is their convolution
+        toeplitz = sliding_window_view(markov, K, axis=2)[:, :, ::-1]
+        blocks = [row[: nb * K].reshape(nb, K) for row in inputs]
+
+        edges = np.zeros((nb + 1, ns))  # the state before each whole block, and after the last
+        for u, w in zip(blocks, weights):
+            edges[1:] += u @ w  # every block's input drive on the state after it
+        step, state = powers[K].T, edges[0]
+        for edge in edges[1:]:  # the one loop: the state moves from block edge to block edge
+            edge += np.dot(state, step)
+            state = edge
+        s = edges[nb]
+        if tail:
+            rest = [row[nb * K :] for row in inputs]
+            s = powers[tail] @ s + sum(u @ w[K - tail :] for u, w in zip(rest, weights))
+        if not (_within_guard(edges) and _within_guard(s)):
+            return None
         # one array per output row, as the per-step loops allocate them:
         # malloc reuses freed arrays of that size, so peak memory stays put
         y = [np.empty(total) for _ in range(p)]
-        s = np.zeros(ns)
-        for n0 in range(0, total, K):
-            k = min(K, total - n0)
-            u = [row[n0 : n0 + k] for row in inputs]
-            for o in range(p):
-                out = state_out[o, :k] @ s
-                for i in range(m):
-                    out += np.convolve(u[i], markov[o, i, :k])[:k]
-                if not np.abs(out).max() < OVERFLOW_GUARD:
-                    return None
-                y[o][n0 : n0 + k] = out
-            s = powers[k] @ s
+        for o, out in enumerate(y):
+            whole = out[: nb * K].reshape(nb, K)  # a view: the products write in place
+            np.matmul(edges[:nb], state_out[o].T, out=whole)
             for i in range(m):
-                s += weights[i, :, K - k :] @ u[i]
-        if not np.abs(s).max() < OVERFLOW_GUARD:
-            return None
+                whole += blocks[i] @ toeplitz[o, i]
+            if tail:
+                out[nb * K :] = state_out[o, :tail] @ edges[nb] + sum(
+                    u @ toeplitz[o, i, :tail, :tail] for i, u in enumerate(rest)
+                )
+            if not _within_guard(out):
+                return None
     return y
 
 
@@ -411,15 +446,10 @@ def _closed_loop_steps(legs, delay: int, coef: float, i_ref: np.ndarray, v_grid:
     return i_grid, v_inv
 
 
-def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
-    """Run the average-model current loop and record every sample.
-
-    ``controller`` is one DiffEqCoeffs or a sequence of parallel legs; the
-    legs all see the current error and their outputs are summed.  The
-    commanded voltage (controller output plus measured grid voltage
-    feedforward) reaches the bridge delay_samples later.
-    """
-    legs = _as_legs(controller)
+@functools.lru_cache(maxsize=1)
+def _drive_signals(cfg: InverterConfig):
+    """The (t, v_grid, i_ref) rows of a run, read-only: every method run at
+    one config shares them, and the next config replaces them."""
     T = 1.0 / cfg.fs_ctrl
     steps = round(cfg.duration * cfg.fs_ctrl)
     w1 = 2.0 * math.pi * cfg.grid_freq
@@ -429,8 +459,23 @@ def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
     t = np.arange(steps) * T
     v_grid = a1 * np.sin(w1 * t) + cfg.harmonic_amp * np.sin(wh * t)
     i_ref = cfg.i_ref_amplitude * np.sin(w1 * t)
+    for row in (t, v_grid, i_ref):
+        row.flags.writeable = False
+    return t, v_grid, i_ref
 
-    delay, coef = int(cfg.delay_samples), T / cfg.l_filter
+
+def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
+    """Run the average-model current loop and record every sample.
+
+    ``controller`` is one DiffEqCoeffs or a sequence of parallel legs; the
+    legs all see the current error and their outputs are summed.  The
+    commanded voltage (controller output plus measured grid voltage
+    feedforward) reaches the bridge delay_samples later.  The trace's t
+    and v_grid are read-only, and shared by the runs at one config.
+    """
+    legs = _as_legs(controller)
+    t, v_grid, i_ref = _drive_signals(cfg)
+    delay, coef = int(cfg.delay_samples), 1.0 / cfg.fs_ctrl / cfg.l_filter
     run = _block_lti(*_closed_loop_system(legs, delay, coef), [i_ref, v_grid])
     i_grid, v_inv = _closed_loop_steps(legs, delay, coef, i_ref, v_grid) if run is None else run
     return SimTrace(t=t, i_grid=i_grid, v_grid=v_grid, v_inv=v_inv)
@@ -467,14 +512,18 @@ def write_atomic(path: str, text: str) -> None:
     """Replace the file at path by text in one step: write a temporary
     sibling, then rename it over the target."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the target the caller gave, not the temporary just removed
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

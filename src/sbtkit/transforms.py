@@ -30,7 +30,7 @@ from .errors import (
     ParamError,
     StabilityRangeWarning,
 )
-from .lti import Polynomial, TransferFunction, _check_positive
+from .lti import Polynomial, TransferFunction, _REAL, _check_positive
 
 __all__ = [
     "STABLE_ALPHA_MIN",
@@ -73,7 +73,7 @@ class SbtParams:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
+        if not (isinstance(self.alpha, _REAL) and 0.0 <= self.alpha <= 1.0):
             raise ParamError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         _check_positive("beta", self.beta)
 

@@ -614,3 +614,15 @@ def test_output_onto_a_directory_exits_2_and_leaves_no_temporary(tmp_path, capsy
     assert err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     assert list(target.iterdir()) == []
+
+
+def test_an_unwritable_output_names_only_the_target(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    target = tmp_path / "out"
+    target.mkdir()
+    for path in (target, tmp_path / "missing" / "out.json"):
+        code, out, err = run_err(capsys, "discretize", "--output", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(path)!r}\n")
+        assert ".tmp" not in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

@@ -391,3 +391,54 @@ def test_sine_probe_rejects_a_non_finite_amplitude(amp):
         warnings.simplefilter("error")
         with pytest.raises(ParamError, match="amp must be finite"):
             sine_steady_state(DELAY_ONE, 950.0, FS, amp=amp)
+
+
+# Edges of the batched block runner: no tail block, a one-sample input, a
+# guard crossing in the tail block alone, and the drive rows one config shares.
+
+
+@pytest.mark.parametrize("size", [5 * sim.BLOCK, 1], ids=["whole-blocks", "one-sample"])
+def test_block_runner_equals_per_step_loop_at_block_edges(size):
+    rng = np.random.default_rng(11)
+    legs = [_stable_leg(rng) for _ in range(2)]
+    x = rng.uniform(0.5, 1.0, size=size)
+    assert sim._block_lti(*sim._legs_system(legs), [x]) is not None
+    got = run_difference_equation(legs, x)
+    want = sim._run_steps(legs, x)
+    assert got.shape == want.shape == (size,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_guard_crossing_in_the_tail_block_alone_takes_the_per_step_route():
+    legs = inverter_legs(TustinPrewarp())
+    delay, coef = 1, 1.0 / 40000.0 / 245e-6
+    system = sim._closed_loop_system(legs, delay, coef)
+    n = 3 * sim.BLOCK + 40
+    t = np.arange(n) / 40000.0
+    i_ref = 30.0 * np.sin(2.0 * math.pi * 50.0 * t)
+    v_grid = 311.0 * np.sin(2.0 * math.pi * 50.0 * t)
+    # the same run without the spike stays on the block route
+    assert sim._block_lti(*system, [i_ref, v_grid]) is not None
+    jump = 3 * sim.BLOCK + 5  # inside the last, short block
+    i_ref[jump] = 1e13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sim._block_lti(*system, [i_ref, v_grid]) is None
+        with pytest.raises(NumericOverflow, match=f"at step {jump + delay} "):
+            sim._closed_loop_steps(legs, delay, coef, i_ref, v_grid)
+
+
+def test_runs_at_one_config_share_read_only_drive_rows():
+    cfg = InverterConfig(duration=0.4)
+    first = inverter_closed_loop(cfg, inverter_legs(TustinPrewarp()))
+    second = inverter_closed_loop(InverterConfig(duration=0.4), inverter_legs(Sbt(SbtParams(0.5, 1.0))))
+    assert second.t is first.t and second.v_grid is first.v_grid
+    for row in (first.t, first.v_grid):
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+    other = inverter_closed_loop(InverterConfig(duration=0.4, harmonic_freq=550.0),
+                                 inverter_legs(TustinPrewarp()))
+    assert other.t is not first.t and other.v_grid is not first.v_grid
+    assert np.array_equal(other.t, first.t)
+    assert not np.array_equal(other.v_grid, first.v_grid)

@@ -168,3 +168,25 @@ def test_grid_spec_kinds(capsys, spec):
     points = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     middle = math.sqrt(940.0 * 960.0) if spec.endswith("log") else 950.0
     assert points == pytest.approx([940.0, middle, 960.0], rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QrParams(KR, "17.9", WN), "need 0 < omega_c < omega_n < inf, got omega_c='17.9'"),
+        (lambda: QrParams(KR, WC, "5969.0"), "got omega_c=17.907 omega_n='5969.0'"),
+        (lambda: QrParams(KR, None, WN), "got omega_c=None"),
+        (lambda: SbtParams("0.5", 1.0), "alpha must lie in [0, 1], got '0.5'"),
+        (lambda: SbtParams(0.5j, 1.0), "alpha must lie in [0, 1], got 0.5j"),
+    ],
+    ids=["omega-c-string", "omega-n-string", "omega-c-none", "alpha-string", "alpha-complex"],
+)
+def test_a_frequency_or_alpha_that_is_not_a_real_number_raises_param_error(build, message):
+    with pytest.raises(ParamError) as info:
+        build()
+    assert message in str(info.value)
+
+
+def test_numpy_scalar_frequencies_and_alpha_pass_the_real_number_rule():
+    assert QrParams(KR, np.float64(WC), np.int64(5969)).omega_n == 5969
+    assert SbtParams(np.float64(0.5), 1.0).alpha == 0.5
