@@ -50,6 +50,25 @@ def _json_safe(value):
     return value
 
 
+def _rows_json(rows: list) -> str:
+    """json.dumps(_json_safe(rows), indent=2) for a list of flat, non-empty dicts.
+
+    An indent forces the pure-Python encoder, so the rows go through the C
+    encoder in one pass, with the indented item separator between fields
+    and between rows, and only the row boundaries are rewritten.  A raw
+    newline never occurs inside an encoded string, so "},\\n    {" is
+    always a row boundary.  Non-finite numbers fail allow_nan and take
+    the _json_safe walk.
+    """
+    if not rows:
+        return "[]"
+    try:
+        flat = json.dumps(rows, separators=(",\n    ", ": "), allow_nan=False)
+    except ValueError:
+        flat = json.dumps(_json_safe(rows), separators=(",\n    ", ": "))
+    return "[\n  {\n    " + flat[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+
+
 def _emit(args, rows, keys, table=None, payload=None) -> int:
     """Write a command's result to --output (atomically) or to stdout.
 
@@ -58,7 +77,8 @@ def _emit(args, rows, keys, table=None, payload=None) -> int:
     table print csv.
     """
     if args.format == "json":
-        text = json.dumps(_json_safe(rows if payload is None else payload), indent=2) + "\n"
+        text = (_rows_json(rows) if payload is None
+                else json.dumps(_json_safe(payload), indent=2)) + "\n"
     elif args.format == "table" and table is not None:
         text = "\n".join(table) + "\n"
     else:

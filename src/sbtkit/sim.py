@@ -283,21 +283,22 @@ def sine_steady_state(
     x = amp * np.sin(2.0 * math.pi * f * n / fs)
     y = run_difference_equation(coeffs, x)
 
-    def project(sig: np.ndarray, idx: np.ndarray) -> complex:
-        ph = np.exp(-2j * math.pi * f * idx / fs)
-        return complex(2.0 / idx.size * np.dot(sig, ph))
+    def phasor(idx: np.ndarray) -> np.ndarray:
+        return np.exp(-2j * math.pi * f * idx / fs)
 
-    i1 = n[settle : settle + window]
-    i2 = n[settle + window :]
-    c1 = project(y[settle : settle + window], i1)
-    c2 = project(y[settle + window :], i2)
+    def project(sig: np.ndarray, ph: np.ndarray) -> complex:
+        return complex(2.0 / ph.size * np.dot(sig, ph))
+
+    c1 = project(y[settle : settle + window], phasor(n[settle : settle + window]))
+    ph2 = phasor(n[settle + window :])  # the second window's, shared by the response and the drive
+    c2 = project(y[settle + window :], ph2)
     a1, a2 = abs(c1), abs(c2)
     if abs(a2 - a1) > 1e-3 * max(a2, 1e-30):
         raise NotSettled(
             f"window amplitudes {a1!r} and {a2!r} differ by more than 0.1%; "
             "increase settle_cycles"
         )
-    cx = project(x[settle + window :], i2)
+    cx = project(x[settle + window :], ph2)
     if a2 < 1e-300 or abs(cx) < 1e-300:
         # no fundamental in drive or response: phase is undefined, report 0
         phase = 0.0

@@ -16,9 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import FrequencyGrid, _mag_db, _points, _ratio, complex_response, default_rmse_grid
+from .analysis import FrequencyGrid, _mag_db, _points, complex_response, default_rmse_grid
 from .controllers import QrParams, qr_continuous, qr_discretize, sbt_params_straightforward, upper_pole
 from .errors import DomainError, ParamError, UnstableWarning
+from .lti import POLE_HIT_TOL
 from .transforms import STABLE_ALPHA_MIN, Sbt, SbtParams, equivalent_s_from_z, z_from_s
 
 __all__ = [
@@ -127,6 +128,10 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
     the Schur-Cohn test |c0| <= 1, |c1| <= 1 + c0 (possible only for alpha
     below 0.5).  No roots are computed here, so quadratic_roots and its
     residual check run only in pole_map_table.
+
+    The response is analysis.complex_response's arithmetic written out on
+    the cached z (Horner, num/1 at pole hits, +inf dB there), so the loss
+    equals the one built from the public evaluators bit for bit.
     """
     if cfg is None:
         cfg = LossConfig()
@@ -142,11 +147,16 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
         return abs(eq - original) / p.omega_n
 
     z, ref, w = _context(p, T, cfg)
-    h, hit = _ratio((biq.a0, biq.a1, biq.a2), (biq.b0, biq.b1, biq.b2), z)
-    err = ref - (_mag_db(h, hit) if cfg.loss_kind == "mag_rmse_db" else np.abs(h))
+    with np.errstate(all="ignore"):
+        den = (biq.b2 * z + biq.b1) * z + biq.b0
+        hit = np.abs(den) < POLE_HIT_TOL
+        mag = np.abs(((biq.a2 * z + biq.a1) * z + biq.a0) / np.where(hit, 1.0, den))
+        if cfg.loss_kind == "mag_rmse_db":
+            mag = np.where(hit, np.inf, 20.0 * np.log10(mag))
+    err = ref - mag
     if w is not None:
-        return float(np.sqrt(np.sum(w * err * err) / np.sum(w)))
-    return float(np.sqrt(np.mean(err * err)))
+        return math.sqrt(np.add.reduce(w * err * err) / np.add.reduce(w))
+    return math.sqrt(np.add.reduce(err * err) / err.size)
 
 
 def _axis_points(lo: float, hi: float, n: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from sbtkit import (
     Sbt,
     SbtParams,
     SearchConfig,
+    StabilityRangeWarning,
     UnstableWarning,
     analysis,
     complex_response,
@@ -115,3 +116,21 @@ def test_optimize_trace_equals_the_reference_trace(seed, monkeypatch):
         assert lean.trace == ref.trace, kind
         assert (lean.alpha, lean.beta, lean.loss_value) == (ref.alpha, ref.beta, ref.loss_value)
 
+
+
+def test_q_loss_raises_no_numpy_warning():
+    """Only sbtkit's own warnings leave q_loss, over alpha in [0, 1] with both box edges,
+    on seeded boards and on one whose gain overflows the response to inf and nan."""
+    rng = random.Random(5)
+    caught_categories = set()
+    boards = [seeded_board(seed) for seed in range(1, 5)] + [(QrParams(1e308, 17.907, 5969.0), 5e-5)]
+    for seed, (p, T) in enumerate(boards, 1):
+        for cfg in configs(seed):
+            for alpha in [0.0, 1.0] + [rng.uniform(0.0, 1.0) for _ in range(40)]:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    warnings.simplefilter("error", RuntimeWarning)
+                    q_loss(alpha, rng.uniform(0.5, 1.5), p, T, cfg)
+                caught_categories.update(w.category for w in caught)
+    assert caught_categories <= {UnstableWarning, StabilityRangeWarning}
+    assert UnstableWarning in caught_categories

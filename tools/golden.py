@@ -79,6 +79,10 @@ ERROR_CASES = [
     # exit 0: a method name in capitals, a grid whose top points overflow to null
     ("error", "--method", "SBT"),
     ("bode", "--grid", "1:1e308:5:log", "--format", "json"),
+    # exit 0: json rows on the default 2201-point grid, nulls inside rows, a single row
+    ("error", "--format", "json"),
+    ("bode", "--kr", "1e308", "--grid", "940:960:3", "--format", "json"),
+    ("discretize", "--method", "sbt", "--format", "json"),
 ]
 
 
