@@ -8,6 +8,7 @@ land under each discretization method.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +47,7 @@ __all__ = [
     "pole_map_table",
 ]
 
-# most points one grid may hold (the largest built-in grid has 2201)
+# most points one grid may hold (the largest built-in grid has 2200)
 MAX_GRID_POINTS = 2**16
 
 
@@ -109,6 +110,7 @@ class FrequencyGrid:
         return FrequencyGrid(tuple(pts), "explicit")
 
 
+@functools.cache  # a FrequencyGrid is immutable, so every call may share one
 def default_bode_grid() -> FrequencyGrid:
     """Wide sweep: 2000 log points 10 Hz to 9.5 kHz merged with a 200-point
     linear zoom over 900 to 1000 Hz (duplicates removed)."""

@@ -3,11 +3,11 @@ measurements, spectral distortion, and the grid-tied inverter loop.
 
 Both runners simulate every sample.  A linear system whose powers are
 shown to decay runs as a block state-space recursion in numpy: matrix
-products over all blocks of BLOCK samples at once, and one loop over the
-block-edge states.  Any other system (every one with spectral radius at
-least one), and any run whose output, block-edge state or final state
-leaves OVERFLOW_GUARD, runs the per-step loop from sample 0, which raises
-the overflow error at the exact step.
+products over all blocks of BLOCK samples at once, and a scan of about
+log2(blocks) levels for the block-edge states.  Any other system (every
+one with spectral radius at least one), and any run whose output,
+block-edge state or final state leaves OVERFLOW_GUARD, runs the per-step
+loop from sample 0, which raises the overflow error at the exact step.
 
 The inverter model is the average model of an L-filtered bridge: the
 controller runs at the control rate, its output voltage command is
@@ -55,12 +55,18 @@ __all__ = [
 
 OVERFLOW_GUARD = 1e12
 # samples per block of the block state-space runner: each block's convolution
-# is a BLOCK x BLOCK matrix product, and the block edges a loop of total/BLOCK
+# is a BLOCK x BLOCK matrix product, and the block edges a scan of
+# ceil(log2(total/BLOCK)) levels
 BLOCK = 64
 # most samples one run may ask for (about 105 s at the 40 kHz control rate)
 MAX_SAMPLES = 2**22
 # longest bridge delay line; the loop's state matrix grows as its square
 MAX_DELAY_SAMPLES = 256
+# most states for which the block-edge scan squares its step in long double:
+# a squaring in double compounds the rounding of the one before, which grows
+# to 1e-9 of the peak on a lightly damped 50 Hz leg at 40 kHz, and long double
+# products run outside BLAS at ns^3 per scan level
+EXTENDED_SCAN_STATES = 64
 
 
 class DiffEqRunner:
@@ -125,11 +131,16 @@ def _block_lti(A, B, C, D, inputs):
     Toeplitz matrix of the Markov parameters, every block's input drive
     on the state is one product with the A^(K-1-j) B rows, and every
     block's state response is one product of the block-edge states with
-    the C A^j rows.  Only the edge-state recursion s <- A^K s + drive
-    runs as a loop, once per block.  A last block shorter than K and the
+    the C A^j rows.  The edge-state recursion s <- A^K s + drive is an
+    inclusive (Hillis-Steele) scan: at shift = 1, 2, 4, ... below the
+    block count, every edge adds the edge shift blocks before it times
+    A^(K*shift), whose square is the next level's step, so the loop runs
+    ceil(log2(blocks)) times (10 for a 40,000-step inverter run).  The
+    squarings run in long double while the state has at most
+    EXTENDED_SCAN_STATES entries.  A last block shorter than K and the
     state after the last sample are done on their own.  The sums round
     in another order than the per-step loop: outputs agree with it within
-    1e-12 of the signal peak.
+    1e-12 of the signal peak on the tested systems.
 
     Returns the output rows, or None when the per-step loop must run
     instead: A is not shown to decay (spectral radius >= 1), or an
@@ -159,12 +170,16 @@ def _block_lti(A, B, C, D, inputs):
         blocks = [row[: nb * K].reshape(nb, K) for row in inputs]
 
         edges = np.zeros((nb + 1, ns))  # the state before each whole block, and after the last
+        after = edges[1:]  # a view: the state after each whole block
         for u, w in zip(blocks, weights):
-            edges[1:] += u @ w  # every block's input drive on the state after it
-        step, state = powers[K].T, edges[0]
-        for edge in edges[1:]:  # the one loop: the state moves from block edge to block edge
-            edge += np.dot(state, step)
-            state = edge
+            after += u @ w  # every block's input drive on the state after it
+        # inclusive scan of s <- A^K s + drive: after the level at shift, each
+        # row holds the drives of the 2*shift blocks up to it, carried by A^K
+        step = powers[K].T.astype(np.longdouble if ns <= EXTENDED_SCAN_STATES else float)
+        shift = 1
+        while shift < nb:
+            after[shift:] += after[:-shift] @ step.astype(float, copy=False)
+            step, shift = step @ step, 2 * shift
         s = edges[nb]
         if tail:
             rest = [row[nb * K :] for row in inputs]
@@ -245,6 +260,25 @@ def _cycle_fraction(f: float, fs: float) -> Fraction:
     return Fraction(f / fs).limit_denominator(4096)
 
 
+@functools.lru_cache(maxsize=1)
+def _sine_drive(f: float, fs: float, amp: float, settle: int, window: int):
+    """The drive rows of a sine test, read-only: the drive amp*sin(2*pi*f*n/fs)
+    and the phasors exp(-2j*pi*f*n/fs) of its two measurement windows.
+    Every method tested at one drive shares them, and the next drive
+    replaces them.  The second window's phasor projects both the response
+    and the drive."""
+    n = np.arange(settle + 2 * window)
+
+    def phasor(idx: np.ndarray) -> np.ndarray:
+        return np.exp(-2j * math.pi * f * idx / fs)
+
+    x = amp * np.sin(2.0 * math.pi * f * n / fs)
+    rows = x, phasor(n[settle : settle + window]), phasor(n[settle + window :])
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
 def sine_steady_state(
     coeffs,
     f: float,
@@ -279,18 +313,13 @@ def sine_steady_state(
     if total > MAX_SAMPLES:
         raise ParamError(f"the sine test asks for {total} samples, above MAX_SAMPLES = {MAX_SAMPLES}")
 
-    n = np.arange(total)
-    x = amp * np.sin(2.0 * math.pi * f * n / fs)
+    x, ph1, ph2 = _sine_drive(f, fs, amp, settle, window)
     y = run_difference_equation(coeffs, x)
-
-    def phasor(idx: np.ndarray) -> np.ndarray:
-        return np.exp(-2j * math.pi * f * idx / fs)
 
     def project(sig: np.ndarray, ph: np.ndarray) -> complex:
         return complex(2.0 / ph.size * np.dot(sig, ph))
 
-    c1 = project(y[settle : settle + window], phasor(n[settle : settle + window]))
-    ph2 = phasor(n[settle + window :])  # the second window's, shared by the response and the drive
+    c1 = project(y[settle : settle + window], ph1)
     c2 = project(y[settle + window :], ph2)
     a1, a2 = abs(c1), abs(c2)
     if abs(a2 - a1) > 1e-3 * max(a2, 1e-30):
@@ -458,8 +487,9 @@ def _drive_signals(cfg: InverterConfig):
     a1 = math.sqrt(2.0) * cfg.grid_vrms
 
     t = np.arange(steps) * T
-    v_grid = a1 * np.sin(w1 * t) + cfg.harmonic_amp * np.sin(wh * t)
-    i_ref = cfg.i_ref_amplitude * np.sin(w1 * t)
+    fundamental = np.sin(w1 * t)  # one sine for the grid voltage and the reference
+    v_grid = a1 * fundamental + cfg.harmonic_amp * np.sin(wh * t)
+    i_ref = cfg.i_ref_amplitude * fundamental
     for row in (t, v_grid, i_ref):
         row.flags.writeable = False
     return t, v_grid, i_ref

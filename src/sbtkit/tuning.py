@@ -153,10 +153,10 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
         mag = np.abs(((biq.a2 * z + biq.a1) * z + biq.a0) / np.where(hit, 1.0, den))
         if cfg.loss_kind == "mag_rmse_db":
             mag = np.where(hit, np.inf, 20.0 * np.log10(mag))
-    err = ref - mag
-    if w is not None:
-        return math.sqrt(np.add.reduce(w * err * err) / np.add.reduce(w))
-    return math.sqrt(np.add.reduce(err * err) / err.size)
+        err = ref - mag
+        if w is not None:
+            return math.sqrt(np.add.reduce(w * err * err) / np.add.reduce(w))
+        return math.sqrt(np.add.reduce(err * err) / err.size)
 
 
 def _axis_points(lo: float, hi: float, n: int) -> np.ndarray:

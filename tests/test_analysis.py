@@ -363,3 +363,10 @@ def test_load_grid_file_names_the_file_for_an_unreadable_line(tmp_path, content)
     path.write_bytes(content)
     with pytest.raises(ParamError, match="grid file .*grid.txt"):
         load_grid_file(str(path))
+
+
+def test_the_default_bode_grid_is_built_once():
+    grid = default_bode_grid()
+    assert default_bode_grid() is grid
+    # the same points as a grid built afresh
+    assert default_bode_grid.__wrapped__() == grid

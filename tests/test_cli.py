@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -626,3 +627,12 @@ def test_an_unwritable_output_names_only_the_target(tmp_path, capsys):
         assert err.startswith("error: [Errno ") and err.endswith(f": {str(path)!r}\n")
         assert ".tmp" not in err and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_linear_loss_overflow_exits_3_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, "optimize", "--kr", "1e300", "--loss", "mag-rmse-linear",
+                                 "--coarse", "3", "--iters", "1")
+    assert code == 3 and out == ""
+    assert err == "error: no (alpha, beta) in the box gives a finite loss\n"

@@ -442,3 +442,72 @@ def test_runs_at_one_config_share_read_only_drive_rows():
     assert other.t is not first.t and other.v_grid is not first.v_grid
     assert np.array_equal(other.t, first.t)
     assert not np.array_equal(other.v_grid, first.v_grid)
+
+
+# Deep scans: runs long enough for 13 and more levels of the block-edge
+# scan, on legs whose powers decay slowly.  A last block shorter than BLOCK
+# is left over.
+
+
+@pytest.mark.parametrize("radius", [0.9, 0.999])
+def test_block_runner_equals_per_step_loop_over_a_deep_scan(radius):
+    theta = 2.0 * math.pi * 950.0 / FS
+    legs = [DiffEqCoeffs(kin0=1.0, kin1=-0.5, kin2=0.25,
+                         kout1=2.0 * radius * math.cos(theta), kout2=-radius * radius)]
+    x = np.random.default_rng(13).uniform(-1.0, 1.0, size=2**18 + 77)
+    blocks = x.size // sim.BLOCK
+    assert (blocks - 1).bit_length() >= 13 and x.size % sim.BLOCK
+    run = sim._block_lti(*sim._legs_system(legs), [x])
+    assert run is not None
+    got = run_difference_equation(legs, x)
+    assert np.array_equal(got, run[0])
+    want = sim._run_steps(legs, x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_block_closed_loop_equals_per_step_loop_over_a_full_second():
+    cfg = InverterConfig(delay_samples=2)
+    legs = inverter_legs(TustinPrewarp())
+    coef = 1.0 / (cfg.fs_ctrl * cfg.l_filter)
+    assert sim._decays(sim._closed_loop_system(legs, 2, coef)[0])
+    trace = inverter_closed_loop(cfg, legs)
+    assert len(trace.t) == 40000
+    _, v_grid, i_ref = sim._drive_signals(cfg)
+    i_grid, v_inv = sim._closed_loop_steps(legs, 2, coef, i_ref, v_grid)
+    assert np.max(np.abs(trace.i_grid - i_grid)) <= 1e-12 * np.max(np.abs(i_grid))
+    assert np.max(np.abs(trace.v_inv - v_inv)) <= 1e-12 * np.max(np.abs(v_inv))
+
+
+def test_sine_tests_at_one_drive_share_read_only_rows(monkeypatch):
+    drives = []
+
+    def spy(coeffs, samples):
+        drives.append(samples)
+        return run_difference_equation(coeffs, samples)
+
+    monkeypatch.setattr(sim, "run_difference_equation", spy)
+    first = sine_steady_state(board_coeffs(TustinPrewarp()), 950.0, FS, settle_cycles=1200)
+    sine_steady_state(board_coeffs(Sbt(SbtParams(0.5, 1.0))), 950.0, FS, settle_cycles=1200)
+    assert drives[1] is drives[0]
+    assert not drives[0].flags.writeable
+    with pytest.raises(ValueError):
+        drives[0][0] = 1.0
+    assert np.array_equal(drives[0], np.sin(2.0 * math.pi * 950.0 * np.arange(drives[0].size) / FS))
+    sine_steady_state(board_coeffs(TustinPrewarp()), 900.0, FS, settle_cycles=1200)
+    assert drives[2] is not drives[0]
+    again = sine_steady_state(board_coeffs(TustinPrewarp()), 950.0, FS, settle_cycles=1200)
+    assert drives[3] is not drives[0] and np.array_equal(drives[3], drives[0])
+    assert again == first
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double has no more precision than double here")
+def test_block_runner_on_a_lightly_damped_50_hz_leg_squares_in_long_double():
+    # the inverter's resonant leg run open-loop at 40 kHz: 1e-9 of the peak
+    # apart from the per-step loop when the scan squares its step in double
+    legs = [diff_eq_coeffs(qr_discretize(INV, TustinPrewarp(), 1.0 / 40000.0))]
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=320000)
+    assert len(sim._legs_system(legs)[0]) <= sim.EXTENDED_SCAN_STATES
+    got = run_difference_equation(legs, x)
+    want = sim._run_steps(legs, x)
+    assert np.max(np.abs(got - want)) <= 2e-11 * np.max(np.abs(want))
