@@ -3,11 +3,12 @@ measurements, spectral distortion, and the grid-tied inverter loop.
 
 Both runners simulate every sample.  A linear system whose powers are
 shown to decay runs as a block state-space recursion in numpy: matrix
-products over all blocks of BLOCK samples at once, and a scan of about
-log2(blocks) levels for the block-edge states.  Any other system (every
-one with spectral radius at least one), and any run whose output,
-block-edge state or final state leaves OVERFLOW_GUARD, runs the per-step
-loop from sample 0, which raises the overflow error at the exact step.
+products over all blocks of BLOCK samples at once, and for the block-edge
+states a scan of about log2(blocks) levels where it costs less than one
+step per block.  Any other system (every one with spectral radius at
+least one), and any run whose output, block-edge state or final state
+leaves OVERFLOW_GUARD, runs the per-step loop from sample 0, which raises
+the overflow error at the exact step.
 
 The inverter model is the average model of an L-filtered bridge: the
 controller runs at the control rate, its output voltage command is
@@ -56,17 +57,18 @@ __all__ = [
 OVERFLOW_GUARD = 1e12
 # samples per block of the block state-space runner: each block's convolution
 # is a BLOCK x BLOCK matrix product, and the block edges a scan of
-# ceil(log2(total/BLOCK)) levels
+# ceil(log2(total/BLOCK)) levels or a loop of total/BLOCK steps
 BLOCK = 64
 # most samples one run may ask for (about 105 s at the 40 kHz control rate)
 MAX_SAMPLES = 2**22
 # longest bridge delay line; the loop's state matrix grows as its square
 MAX_DELAY_SAMPLES = 256
-# most states for which the block-edge scan squares its step in long double:
-# a squaring in double compounds the rounding of the one before, which grows
-# to 1e-9 of the peak on a lightly damped 50 Hz leg at 40 kHz, and long double
-# products run outside BLAS at ns^3 per scan level
-EXTENDED_SCAN_STATES = 64
+# whether np.longdouble is the x87 80-bit format, the one the block-edge scan
+# was checked and timed on: the scan squares its step in long double, since
+# squarings in double compound their rounding (1e-9 of the peak apart from the
+# per-step loop on a lightly damped 50 Hz leg at 40 kHz, where the edge loop
+# is 1e-11 apart); elsewhere the edges stay a loop
+X87_LONG_DOUBLE = np.finfo(np.longdouble).nmant == 63
 
 
 class DiffEqRunner:
@@ -118,6 +120,16 @@ def _within_guard(a) -> bool:
     return bool(-OVERFLOW_GUARD < a.min() and a.max() < OVERFLOW_GUARD)
 
 
+def _scan_pays(ns: int, nb: int) -> bool:
+    """Whether the block-edge scan of nb blocks and ns states costs less
+    than the edge loop, by costs timed on x86-64 with one BLAS thread: each
+    long-double squaring takes about 5.5 ns per ns^3, as it runs outside
+    BLAS, and each level's product of all edges about 0.1 ns per block and
+    ns^2; the loop takes about 2 us per block, taken as 1.5 for a margin."""
+    levels = (nb - 1).bit_length()  # ceil(log2(nb))
+    return X87_LONG_DOUBLE and 5.5 * (levels - 1) * ns**3 + 0.1 * levels * nb * ns**2 <= 1500.0 * nb
+
+
 def _block_lti(A, B, C, D, inputs):
     """Response of s[n+1] = A s[n] + B u[n], y[n] = C s[n] + D u[n] from
     s[0] = 0 to the input rows u, in blocks of K = BLOCK samples.
@@ -136,11 +148,13 @@ def _block_lti(A, B, C, D, inputs):
     block count, every edge adds the edge shift blocks before it times
     A^(K*shift), whose square is the next level's step, so the loop runs
     ceil(log2(blocks)) times (10 for a 40,000-step inverter run).  The
-    squarings run in long double while the state has at most
-    EXTENDED_SCAN_STATES entries.  A last block shorter than K and the
+    squarings run in long double, so the scan runs only where that is the
+    x87 format and _scan_pays finds it cheaper; elsewhere the recursion is
+    a loop, one step per block.  A last block shorter than K and the
     state after the last sample are done on their own.  The sums round
-    in another order than the per-step loop: outputs agree with it within
-    1e-12 of the signal peak on the tested systems.
+    in another order than the per-step loop: on the runs the tests check,
+    scan and edge loop alike, outputs agree with it within 1e-12 of the
+    signal peak (the README gives a longer run where both drift further).
 
     Returns the output rows, or None when the per-step loop must run
     instead: A is not shown to decay (spectral radius >= 1), or an
@@ -173,13 +187,20 @@ def _block_lti(A, B, C, D, inputs):
         after = edges[1:]  # a view: the state after each whole block
         for u, w in zip(blocks, weights):
             after += u @ w  # every block's input drive on the state after it
-        # inclusive scan of s <- A^K s + drive: after the level at shift, each
-        # row holds the drives of the 2*shift blocks up to it, carried by A^K
-        step = powers[K].T.astype(np.longdouble if ns <= EXTENDED_SCAN_STATES else float)
-        shift = 1
-        while shift < nb:
-            after[shift:] += after[:-shift] @ step.astype(float, copy=False)
-            step, shift = step @ step, 2 * shift
+        if _scan_pays(ns, nb):
+            # inclusive scan of s <- A^K s + drive: after the level at shift, each
+            # row holds the drives of the 2*shift blocks up to it, carried by A^K
+            step, shift = powers[K].T.astype(np.longdouble), 1
+            while shift < nb:
+                after[shift:] += after[:-shift] @ step.astype(float)
+                shift *= 2
+                if shift < nb:
+                    step = step @ step
+        else:
+            step, state = powers[K].T, edges[0]
+            for edge in after:  # the state moves from block edge to block edge
+                edge += np.dot(state, step)
+                state = edge
         s = edges[nb]
         if tail:
             rest = [row[nb * K :] for row in inputs]

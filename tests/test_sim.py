@@ -1,5 +1,7 @@
 """Difference-equation execution, sine measurements, distortion, inverter loop."""
 
+import dataclasses
+import functools
 import math
 import warnings
 
@@ -500,14 +502,51 @@ def test_sine_tests_at_one_drive_share_read_only_rows(monkeypatch):
     assert again == first
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="long double has no more precision than double here")
-def test_block_runner_on_a_lightly_damped_50_hz_leg_squares_in_long_double():
-    # the inverter's resonant leg run open-loop at 40 kHz: 1e-9 of the peak
-    # apart from the per-step loop when the scan squares its step in double
-    legs = [diff_eq_coeffs(qr_discretize(INV, TustinPrewarp(), 1.0 / 40000.0))]
+@functools.cache
+def resonant_leg_run():
+    # the inverter's resonant element moved to 50 Hz and run open-loop at
+    # 40 kHz on uniform noise, and the per-step loop's output
+    leg50 = QrParams(INV.kr, INV.omega_c, 2.0 * math.pi * 50.0)
+    legs = [diff_eq_coeffs(qr_discretize(leg50, TustinPrewarp(), 1.0 / 40000.0))]
     x = np.random.default_rng(3).uniform(-1.0, 1.0, size=320000)
-    assert len(sim._legs_system(legs)[0]) <= sim.EXTENDED_SCAN_STATES
+    return legs, x, sim._run_steps(legs, x)
+
+
+@pytest.mark.parametrize("scan", [
+    pytest.param(True, marks=pytest.mark.skipif(not sim.X87_LONG_DOUBLE,
+                                                reason="long double is not the x87 format here")),
+    False,
+])
+def test_block_runner_on_a_lightly_damped_50_hz_leg(monkeypatch, scan):
+    # squarings in double put the scan 1e-9 of the peak apart from the per-step loop here
+    legs, x, want = resonant_leg_run()
+    assert sim._scan_pays(len(sim._legs_system(legs)[0]), x.size // sim.BLOCK)
+    monkeypatch.setattr(sim, "_scan_pays", lambda ns, nb: scan)
     got = run_difference_equation(legs, x)
-    want = sim._run_steps(legs, x)
     assert np.max(np.abs(got - want)) <= 2e-11 * np.max(np.abs(want))
+
+
+def test_scan_runs_only_where_it_costs_less_than_the_edge_loop(monkeypatch):
+    if sim.X87_LONG_DOUBLE:
+        assert sim._scan_pays(8, 625)  # the default inverter loop over 1 s
+        assert sim._scan_pays(4, 562)  # a board leg over a 950 Hz sine test
+        assert sim._scan_pays(21, 625) and not sim._scan_pays(21, 250)
+    assert not sim._scan_pays(33, 4096) and not sim._scan_pays(69, 625)
+    monkeypatch.setattr(sim, "X87_LONG_DOUBLE", False)
+    assert not sim._scan_pays(8, 625)
+
+
+def test_block_closed_loop_with_more_states_than_the_scan_takes():
+    # a long bridge delay behind a proportional leg and a weakened resonant one
+    resonant = inverter_legs(TustinPrewarp())[1]
+    legs = [DiffEqCoeffs(kin0=0.02, kin1=0.0, kin2=0.0, kout1=0.0, kout2=0.0),
+            dataclasses.replace(resonant, kin0=0.3 * resonant.kin0, kin2=0.3 * resonant.kin2)]
+    cfg = InverterConfig(delay_samples=64)
+    coef = 1.0 / (cfg.fs_ctrl * cfg.l_filter)
+    A = sim._closed_loop_system(legs, 64, coef)[0]
+    assert len(A) > 64 and sim._decays(A) and not sim._scan_pays(len(A), 625)
+    trace = inverter_closed_loop(cfg, legs)
+    _, v_grid, i_ref = sim._drive_signals(cfg)
+    i_grid, v_inv = sim._closed_loop_steps(legs, 64, coef, i_ref, v_grid)
+    assert np.max(np.abs(trace.i_grid - i_grid)) <= 1e-12 * np.max(np.abs(i_grid))
+    assert np.max(np.abs(trace.v_inv - v_inv)) <= 1e-12 * np.max(np.abs(v_inv))
