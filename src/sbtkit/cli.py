@@ -158,6 +158,24 @@ def _methods(args, p: controllers.QrParams, T: float, extra=(), one: bool = Fals
     return out
 
 
+def _designs(args, p: controllers.QrParams, T: float, extra=(), one: bool = False) -> list:
+    """(label, checked biquad) for each --method name in order, every one
+    resolved and discretized before a command runs or writes anything;
+    a name in extra gives (name, None)."""
+    return [
+        (m, None) if m in extra else (transforms.method_label(m), _discretize(p, m, T))
+        for m in _methods(args, p, T, extra, one)
+    ]
+
+
+def _per_method(name: str, run, *args):
+    """run(*args), with a NumericOverflow it raises re-raised as method name's."""
+    try:
+        return run(*args)
+    except NumericOverflow as exc:
+        raise NumericOverflow(f"method {name}: {exc}") from exc
+
+
 def _grid_from_args(args, fallback) -> analysis.FrequencyGrid:
     if getattr(args, "grid_file", None):
         return analysis.load_grid_file(args.grid_file)
@@ -191,9 +209,8 @@ def _colon_spec(spec: str, name: str, form: str, *types) -> tuple:
 def cmd_discretize(args) -> int:
     p, T = _qr(args)
     rows = []
-    for m in _methods(args, p, T):
-        biq = _discretize(p, m, T)
-        row = {"method": transforms.method_label(m), **asdict(biq)}
+    for label, biq in _designs(args, p, T):
+        row = {"method": label, **asdict(biq)}
         if args.diffeq:
             row.update(asdict(controllers.diff_eq_coeffs(biq)))
         rows.append(row)
@@ -207,8 +224,8 @@ def cmd_discretize(args) -> int:
 def cmd_bode(args) -> int:
     p, T = _qr(args)
     grid = _grid_from_args(args, analysis.default_bode_grid)
-    (m,) = _methods(args, p, T, extra=("analog",), one=True)
-    tf = controllers.qr_continuous(p) if m == "analog" else _discretize(p, m, T).to_transfer(T)
+    ((_, biq),) = _designs(args, p, T, extra=("analog",), one=True)
+    tf = controllers.qr_continuous(p) if biq is None else biq.to_transfer(T)
     mag_db, phase, _ = analysis._response_arrays(tf, grid.as_array())
     keys = ["f_hz", "mag_db", "phase_deg"]
     rows = [dict(zip(keys, r)) for r in zip(grid.points, mag_db.tolist(), phase.tolist())]
@@ -218,23 +235,19 @@ def cmd_bode(args) -> int:
 def cmd_error(args) -> int:
     p, T = _qr(args)
     grid = _grid_from_args(args, analysis.default_bode_grid)
-    (m,) = _methods(args, p, T, one=True)
-    disc = _discretize(p, m, T).to_transfer(T)
-    curve = analysis.magnitude_error_curve(controllers.qr_continuous(p), disc, grid)
+    ((_, biq),) = _designs(args, p, T, one=True)
+    curve = analysis.magnitude_error_curve(controllers.qr_continuous(p), biq.to_transfer(T), grid)
     return _emit(args, [{"f_hz": f, "err_db": e} for f, e in curve], ["f_hz", "err_db"])
 
 
 def cmd_rmse(args) -> int:
     p, T = _qr(args)
     grid = _grid_from_args(args, analysis.default_rmse_grid)
-    methods = _methods(args, p, T)
     analog = controllers.qr_continuous(p)
-    values = {}
-    for m in methods:
-        disc = _discretize(p, m, T).to_transfer(T)
-        values[transforms.method_label(m)] = analysis.rmse(
-            analysis.magnitude_error_curve(analog, disc, grid)
-        )
+    values = {
+        label: analysis.rmse(analysis.magnitude_error_curve(analog, biq.to_transfer(T), grid))
+        for label, biq in _designs(args, p, T)
+    }
     rows = [{"method": k, "rmse_db": v} for k, v in values.items()]
     table = [f"{k:8s} rmse = {v:.6f} dB" for k, v in values.items()]
     ratio = None
@@ -272,14 +285,10 @@ def cmd_simulate_board(args) -> int:
     p, T = _qr(args)
     fs = args.constants["fs"]
     rows = []
-    for m in _methods(args, p, T):
-        label = transforms.method_label(m)
-        biq = _discretize(p, m, T)
+    for label, biq in _designs(args, p, T):
         coeffs = controllers.diff_eq_coeffs(biq)
-        res = sim.sine_steady_state(
-            coeffs, args.f, fs, amp=args.amp,
-            settle_cycles=args.settle_cycles, measure_cycles=args.measure_cycles,
-        )
+        res = _per_method(label, sim.sine_steady_state, coeffs, args.f, fs, args.amp,
+                          args.settle_cycles, args.measure_cycles)
         h, _ = analysis.complex_response(biq.to_transfer(T), np.array([args.f]))
         predicted = float(abs(h[0])) * args.amp
         rows.append(
@@ -294,10 +303,8 @@ def cmd_simulate_board(args) -> int:
         )
         if args.trace_dir:
             os.makedirs(args.trace_dir, exist_ok=True)
-            _write_board_trace(
-                coeffs, args.f, fs, args.amp,
-                os.path.join(args.trace_dir, f"board_{label}.csv"),
-            )
+            path = os.path.join(args.trace_dir, f"board_{label}.csv")
+            _per_method(label, _write_board_trace, coeffs, args.f, fs, args.amp, path)
     table = [
         f"{r['method']:8s} amp = {r['amplitude']:.4f}  phase = {r['phase_deg']:8.3f} deg  "
         f"predicted = {r['predicted']:.4f}  mismatch = {100 * r['mismatch']:.4f}%"
@@ -307,11 +314,10 @@ def cmd_simulate_board(args) -> int:
 
 
 def _write_board_trace(coeffs, f: float, fs: float, amp: float, path: str) -> None:
-    n = int(round(20 * fs / f))  # 20 drive cycles
-    idx = list(range(n))
-    x = [amp * math.sin(2 * math.pi * f * k / fs) for k in idx]
+    n = np.arange(int(round(20 * fs / f)))  # 20 drive cycles
+    x = amp * np.sin(2.0 * math.pi * f * n / fs)
     y = sim.run_difference_equation(coeffs, x)
-    sim.write_atomic(path, sim.csv_text(("t", "x", "y"), ((k / fs, x[k], y[k]) for k in idx)))
+    sim.write_atomic(path, sim.csv_text(("t", "x", "y"), zip((n / fs).tolist(), x.tolist(), y.tolist())))
 
 
 def cmd_simulate_inverter(args) -> int:
@@ -321,16 +327,9 @@ def cmd_simulate_inverter(args) -> int:
     p = controllers.QrParams(c["kr_inv"], c["wc"], c["wn"])
     pi_leg = controllers.pi_discretize(controllers.PiParams(c["kp"], c["tau_i"]), T)
     rows = []
-    for m in _methods(args, p, T, extra=("pi",)):
-        if m == "pi":
-            name, legs = m, (pi_leg,)
-        else:
-            qr_leg = controllers.diff_eq_coeffs(_discretize(p, m, T))
-            name, legs = transforms.method_label(m), (pi_leg, qr_leg)
-        try:
-            trace = sim.inverter_closed_loop(cfg, legs)
-        except NumericOverflow as exc:
-            raise NumericOverflow(f"method {name}: {exc}") from exc
+    for name, biq in _designs(args, p, T, extra=("pi",)):
+        legs = (pi_leg,) if biq is None else (pi_leg, controllers.diff_eq_coeffs(biq))
+        trace = _per_method(name, sim.inverter_closed_loop, cfg, legs)
         rows.append({"method": name, "thd_pct": sim.trace_thd(trace, cfg, periods=args.periods)})
         if args.trace_dir:
             os.makedirs(args.trace_dir, exist_ok=True)

@@ -40,6 +40,7 @@ from .errors import (
     ParamError,
     WindowError,
 )
+from .lti import _check_positive
 
 __all__ = [
     "DiffEqRunner",
@@ -414,8 +415,8 @@ class InverterConfig:
                 f"duration*fs_ctrl asks for {self.duration * self.fs_ctrl:.0f} steps, "
                 f"above MAX_SAMPLES = {MAX_SAMPLES}"
             )
-        if self.l_filter <= 0 or self.fs_ctrl <= 0 or self.grid_freq <= 0:
-            raise ParamError("l_filter, fs_ctrl and grid_freq must be positive")
+        for name in ("l_filter", "fs_ctrl", "grid_freq"):
+            _check_positive(name, getattr(self, name))
         if self.duration * self.grid_freq < 20:
             raise ParamError("duration must cover at least 20 grid cycles")
         d = self.delay_samples

@@ -636,3 +636,36 @@ def test_linear_loss_overflow_exits_3_without_warnings(capsys):
                                  "--coarse", "3", "--iters", "1")
     assert code == 3 and out == ""
     assert err == "error: no (alpha, beta) in the box gives a finite loss\n"
+
+
+@pytest.mark.filterwarnings("ignore::sbtkit.StabilityRangeWarning")
+def test_board_overflow_names_its_method(capsys):
+    code, out, err = run_err(capsys, "simulate", "board", "--methods", "euler,sbt",
+                             "--alpha", "0.05")
+    assert code == 4 and out == ""
+    assert err == "error: method sbt: output -1119025234619.8271 at sample 721 exceeds guard 1e+12\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "board", "--methods", "euler,sota", "--fs", "1000", "--f", "100"),
+    ("simulate", "inverter", "--methods", "pi,sota", "--wn", "130000"),
+], ids=["board", "inverter"])
+def test_a_method_that_cannot_be_discretized_leaves_no_trace_file(tmp_path, capsys, argv):
+    code, out, err = run_err(capsys, *argv, "--trace-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: omega_n*T/2 = ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_method_is_discretized_before_the_first_run(capsys):
+    # pi diverges at this rate, but sota's pre-warp fails first, before any run
+    code, out, err = run_err(capsys, "simulate", "inverter", "--methods", "pi,euler,sota",
+                             "--fs-ctrl", "1000", "--harmonic-freq", "250")
+    assert code == 3 and out == ""
+    assert err == "error: omega_n*T/2 = 2.9845 outside (0, pi/2)\n"
+
+
+def test_inverter_rate_takes_the_one_positive_finite_rule(capsys):
+    code, out, err = run_err(capsys, "simulate", "inverter", "--fs-ctrl", "0")
+    assert code == 2 and out == ""
+    assert err == "error: fs_ctrl must be positive and finite, got 0.0\n"

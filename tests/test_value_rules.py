@@ -11,6 +11,7 @@ import pytest
 from sbtkit import (
     BiquadCoeffs,
     DiffEqCoeffs,
+    InverterConfig,
     ParamError,
     PiParams,
     Polynomial,
@@ -190,3 +191,22 @@ def test_a_frequency_or_alpha_that_is_not_a_real_number_raises_param_error(build
 def test_numpy_scalar_frequencies_and_alpha_pass_the_real_number_rule():
     assert QrParams(KR, np.float64(WC), np.int64(5969)).omega_n == 5969
     assert SbtParams(np.float64(0.5), 1.0).alpha == 0.5
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("l_filter", 0.0, "l_filter must be positive and finite, got 0.0"),
+        ("fs_ctrl", -40000.0, "fs_ctrl must be positive and finite, got -40000.0"),
+        ("grid_freq", 0, "grid_freq must be positive and finite, got 0"),
+    ],
+)
+def test_inverter_constants_take_the_positive_finite_rule(field, value, message):
+    with pytest.raises(ParamError) as info:
+        InverterConfig(**{field: value})
+    assert str(info.value) == message
+
+
+def test_non_finite_inverter_constants_keep_their_message():
+    with pytest.raises(ParamError, match="^inverter constants must be finite$"):
+        InverterConfig(fs_ctrl=math.inf)

@@ -49,6 +49,7 @@ ERROR_CASES = [
     ("simulate", "inverter", "--duration", "nan"),
     ("simulate", "inverter", "--method", "pi,simpson", "--trace-dir", "{tmp}"),
     ("simulate", "inverter", "--duration", "1e6"),
+    ("simulate", "inverter", "--fs-ctrl", "0"),
     # exit 2: a grid file with a line that is not a number or not UTF-8, a config not UTF-8
     ("rmse", "--grid-file", "{config}/grid_abc.txt"),
     ("rmse", "--grid-file", "{config}/grid_bytes.txt"),
@@ -71,11 +72,18 @@ ERROR_CASES = [
     ("optimize", "--kr", "1e308", "--coarse", "3", "--iters", "1"),
     ("bode", "--method", "sbt", "--kr", "1e308"),
     ("simulate", "inverter", "--config", "{config}/kr_inv.json"),
+    # exit 3 before any run or trace file: a later method cannot be discretized
+    ("simulate", "board", "--methods", "euler,sota", "--fs", "1000", "--f", "100",
+     "--trace-dir", "{tmp}"),
+    ("simulate", "inverter", "--methods", "pi,sota", "--wn", "130000", "--trace-dir", "{tmp}"),
+    ("simulate", "inverter", "--methods", "pi,euler,sota", "--fs-ctrl", "1000",
+     "--harmonic-freq", "250"),
     # exit 4: a diverging closed loop
     ("simulate", "inverter", "--method", "sbt", "--alpha", "0.05"),
     ("simulate", "inverter", "--method", "sbt", "--alpha", "0.0", "--duration", "0.5",
      "--trace-dir", "{tmp}"),
     ("simulate", "inverter", "--method", "sota", "--i-ref", "2e12"),
+    ("simulate", "board", "--methods", "euler,sbt", "--alpha", "0.05"),
     # exit 0: a method name in capitals, a grid whose top points overflow to null
     ("error", "--method", "SBT"),
     ("bode", "--grid", "1:1e308:5:log", "--format", "json"),
