@@ -16,12 +16,13 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 
 from . import analysis, controllers, sim, transforms, tuning
-from .errors import NumericOverflow, ParamError, SbtkitError
+from .errors import NotSettled, NumericOverflow, ParamError, SbtkitError
 from .lti import _check_positive
 
 DEFAULTS = {
@@ -69,13 +70,11 @@ def _rows_json(rows: list) -> str:
     return "[\n  {\n    " + flat[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
 
 
-def _emit(args, rows, keys, table=None, payload=None) -> int:
-    """Write a command's result to --output (atomically) or to stdout.
-
-    json is the rows, or payload when given; csv is a header of keys and
-    one line per row; table is the given lines, and commands without a
-    table print csv.
-    """
+def _emit(args, rows, keys, table=None, payload=None, writes=()) -> int:
+    """The one place a command writes: each call in writes makes one file,
+    after --trace-dir is made; then the result goes to --output (atomically)
+    or stdout.  json is the rows, or payload when given; csv is a header of
+    keys and a line per row; table is the given lines, csv when there are none."""
     if args.format == "json":
         text = (_rows_json(rows) if payload is None
                 else json.dumps(_json_safe(payload), indent=2)) + "\n"
@@ -83,6 +82,10 @@ def _emit(args, rows, keys, table=None, payload=None) -> int:
         text = "\n".join(table) + "\n"
     else:
         text = sim.csv_text(keys, ([r[k] for k in keys] for r in rows))
+    if getattr(args, "trace_dir", None):
+        os.makedirs(args.trace_dir, exist_ok=True)
+    for write in writes:
+        write()
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -169,11 +172,11 @@ def _designs(args, p: controllers.QrParams, T: float, extra=(), one: bool = Fals
 
 
 def _per_method(name: str, run, *args):
-    """run(*args), with a NumericOverflow it raises re-raised as method name's."""
+    """run(*args), with a NumericOverflow or NotSettled it raises re-raised as method name's."""
     try:
         return run(*args)
-    except NumericOverflow as exc:
-        raise NumericOverflow(f"method {name}: {exc}") from exc
+    except (NumericOverflow, NotSettled) as exc:
+        raise type(exc)(f"method {name}: {exc}") from exc
 
 
 def _grid_from_args(args, fallback) -> analysis.FrequencyGrid:
@@ -284,7 +287,7 @@ def cmd_pole_map(args) -> int:
 def cmd_simulate_board(args) -> int:
     p, T = _qr(args)
     fs = args.constants["fs"]
-    rows = []
+    rows, writes = [], []
     for label, biq in _designs(args, p, T):
         coeffs = controllers.diff_eq_coeffs(biq)
         res = _per_method(label, sim.sine_steady_state, coeffs, args.f, fs, args.amp,
@@ -302,22 +305,18 @@ def cmd_simulate_board(args) -> int:
             }
         )
         if args.trace_dir:
-            os.makedirs(args.trace_dir, exist_ok=True)
+            n = np.arange(int(round(20 * fs / args.f)))  # 20 drive cycles
+            x = args.amp * np.sin(2.0 * math.pi * args.f * n / fs)
+            y = _per_method(label, sim.run_difference_equation, coeffs, x)
+            text = sim.csv_text(("t", "x", "y"), zip((n / fs).tolist(), x.tolist(), y.tolist()))
             path = os.path.join(args.trace_dir, f"board_{label}.csv")
-            _per_method(label, _write_board_trace, coeffs, args.f, fs, args.amp, path)
+            writes.append(functools.partial(sim.write_atomic, path, text))
     table = [
         f"{r['method']:8s} amp = {r['amplitude']:.4f}  phase = {r['phase_deg']:8.3f} deg  "
         f"predicted = {r['predicted']:.4f}  mismatch = {100 * r['mismatch']:.4f}%"
         for r in rows
     ]
-    return _emit(args, rows, list(rows[0]), table)
-
-
-def _write_board_trace(coeffs, f: float, fs: float, amp: float, path: str) -> None:
-    n = np.arange(int(round(20 * fs / f)))  # 20 drive cycles
-    x = amp * np.sin(2.0 * math.pi * f * n / fs)
-    y = sim.run_difference_equation(coeffs, x)
-    sim.write_atomic(path, sim.csv_text(("t", "x", "y"), zip((n / fs).tolist(), x.tolist(), y.tolist())))
+    return _emit(args, rows, list(rows[0]), table, writes=writes)
 
 
 def cmd_simulate_inverter(args) -> int:
@@ -326,16 +325,16 @@ def cmd_simulate_inverter(args) -> int:
     T = 1.0 / cfg.fs_ctrl
     p = controllers.QrParams(c["kr_inv"], c["wc"], c["wn"])
     pi_leg = controllers.pi_discretize(controllers.PiParams(c["kp"], c["tau_i"]), T)
-    rows = []
+    rows, writes = [], []
     for name, biq in _designs(args, p, T, extra=("pi",)):
         legs = (pi_leg,) if biq is None else (pi_leg, controllers.diff_eq_coeffs(biq))
         trace = _per_method(name, sim.inverter_closed_loop, cfg, legs)
         rows.append({"method": name, "thd_pct": sim.trace_thd(trace, cfg, periods=args.periods)})
         if args.trace_dir:
-            os.makedirs(args.trace_dir, exist_ok=True)
-            sim.write_trace_csv(trace, os.path.join(args.trace_dir, f"inverter_{name}.csv"))
+            path = os.path.join(args.trace_dir, f"inverter_{name}.csv")
+            writes.append(functools.partial(sim.write_trace_csv, trace, path))
     table = [f"{r['method']:8s} THDi = {r['thd_pct']:.4f} %" for r in rows]
-    return _emit(args, rows, ["method", "thd_pct"], table)
+    return _emit(args, rows, ["method", "thd_pct"], table, writes=writes)
 
 
 def cmd_optimize(args) -> int:
@@ -349,9 +348,11 @@ def cmd_optimize(args) -> int:
         refine_iters=args.iters,
     )
     res = tuning.optimize_alpha_beta(p, T, loss_cfg, search)
+    writes = []
     if args.trace:
         rows = ((e.stage, e.alpha, e.beta, e.loss, e.best_loss) for e in res.trace)
-        sim.write_atomic(args.trace, sim.csv_text(("stage", "alpha", "beta", "loss", "best_loss"), rows))
+        text = sim.csv_text(("stage", "alpha", "beta", "loss", "best_loss"), rows)
+        writes.append(functools.partial(sim.write_atomic, args.trace, text))
     summary = {
         "alpha": res.alpha,
         "beta": res.beta,
@@ -369,7 +370,7 @@ def cmd_optimize(args) -> int:
         f"loss = {res.straightforward_loss!r}",
         f"evaluations = {len(res.trace)}",
     ]
-    return _emit(args, [summary], list(summary), table, summary)
+    return _emit(args, [summary], list(summary), table, summary, writes=writes)
 
 
 CONSTANT_HELP = {
@@ -475,22 +476,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        args.constants = _constants(args)
-        return args.func(args)
-    except (ParamError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SbtkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OverflowError:
-        values = ", ".join(f"{k}={v!r}" for k, v in args.constants.items())
-        print(f"error: double-precision overflow with {values}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():  # the caller's filters hold; a shown warning is one line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args.constants = _constants(args)
+            return args.func(args)
+        except (ParamError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except NumericOverflow as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except SbtkitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except OverflowError:
+            values = ", ".join(f"{k}={v!r}" for k, v in args.constants.items())
+            print(f"error: double-precision overflow with {values}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -121,6 +121,9 @@ def _context(p: QrParams, T: float, cfg: LossConfig):
     return _points(freqs, T), ref, None if cfg.weights is None else np.asarray(cfg.weights)
 
 
+_default_loss = lru_cache(maxsize=1)(LossConfig)  # one default, so it keeps its _context entry
+
+
 def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | None = None) -> float:
     """Scalar discretization quality loss at one (alpha, beta) pair.
 
@@ -134,7 +137,7 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
     equals the one built from the public evaluators bit for bit.
     """
     if cfg is None:
-        cfg = LossConfig()
+        cfg = _default_loss()
     params = SbtParams(alpha, beta)
     biq = qr_discretize(p, Sbt(params), T)
     c0, c1 = biq.b0 / biq.b2, biq.b1 / biq.b2
@@ -191,7 +194,7 @@ def optimize_alpha_beta(
     raised when no evaluated pair gives a finite loss.
     """
     if loss_cfg is None:
-        loss_cfg = LossConfig()
+        loss_cfg = _default_loss()
     if search_cfg is None:
         search_cfg = SearchConfig()
 

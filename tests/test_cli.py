@@ -669,3 +669,30 @@ def test_inverter_rate_takes_the_one_positive_finite_rule(capsys):
     code, out, err = run_err(capsys, "simulate", "inverter", "--fs-ctrl", "0")
     assert code == 2 and out == ""
     assert err == "error: fs_ctrl must be positive and finite, got 0.0\n"
+
+
+@pytest.mark.filterwarnings("ignore::sbtkit.StabilityRangeWarning")
+@pytest.mark.parametrize("argv", [
+    ("simulate", "board", "--methods", "euler,sbt", "--alpha", "0.05"),
+    ("simulate", "inverter", "--methods", "pi,sbt", "--alpha", "0.05"),
+], ids=["board", "inverter"])
+def test_a_later_method_that_diverges_leaves_no_trace_file(tmp_path, capsys, argv):
+    # the first method runs to the end; its trace must not outlive the failed command
+    code, out, err = run_err(capsys, *argv, "--trace-dir", str(tmp_path / "D"))
+    assert code == 4 and out == ""
+    assert err.startswith("error: method sbt: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_board_not_settled_names_its_method(capsys):
+    code, out, err = run_err(capsys, "simulate", "board", "--methods", "euler,sbt",
+                             "--settle-cycles", "2")
+    assert code == 3 and out == ""
+    assert err == ("error: method euler: window amplitudes 1.1657680117987348 and "
+                   "1.1686168705855131 differ by more than 0.1%; increase settle_cycles\n")
+
+
+def test_a_library_warning_is_one_line_on_stderr(capsys):
+    code, out, err = run_err(capsys, "discretize", "--method", "sbt", "--alpha", "0.3")
+    assert code == 0 and out.startswith("sbt\n")
+    assert err == "warning: alpha=0.3 below 0.5: discretized poles may leave the unit disk\n"

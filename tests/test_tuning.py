@@ -194,3 +194,13 @@ def test_loss_config_compares_by_identity():
     cfg = LossConfig()
     assert cfg == cfg and cfg != LossConfig()
     assert hash(cfg) == object.__hash__(cfg)
+
+
+def test_default_loss_config_is_built_once():
+    # a fresh default per call would miss the _context cache every time
+    before = tuning._context.cache_info().misses
+    first = q_loss(0.6, 1.0, BOARD, T)
+    second = q_loss(0.7, 1.0, BOARD, T)
+    assert tuning._context.cache_info().misses - before <= 1
+    assert (first, second) == (q_loss(0.6, 1.0, BOARD, T, LossConfig()),
+                               q_loss(0.7, 1.0, BOARD, T, LossConfig()))

@@ -84,6 +84,13 @@ ERROR_CASES = [
      "--trace-dir", "{tmp}"),
     ("simulate", "inverter", "--method", "sota", "--i-ref", "2e12"),
     ("simulate", "board", "--methods", "euler,sbt", "--alpha", "0.05"),
+    # exit 4 and no trace file: a later method diverges after the first one ran
+    ("simulate", "board", "--methods", "euler,sbt", "--alpha", "0.05", "--trace-dir", "{tmp}"),
+    ("simulate", "inverter", "--methods", "pi,sbt", "--alpha", "0.05", "--trace-dir", "{tmp}"),
+    # exit 3: a run that has not settled names its method
+    ("simulate", "board", "--methods", "euler,sbt", "--settle-cycles", "2"),
+    # exit 0 with a library warning as one line on stderr
+    ("discretize", "--method", "sbt", "--alpha", "0.3"),
     # exit 0: a method name in capitals, a grid whose top points overflow to null
     ("error", "--method", "SBT"),
     ("bode", "--grid", "1:1e308:5:log", "--format", "json"),
