@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 invalid arguments, 3 domain errors raised by the
-math, 4 numeric divergence during simulation.  Machine output (csv/json)
+Exit codes: 0 success, 2 invalid arguments (also a warning the caller's
+filters raise as an error), 3 domain errors raised by the math, 4 numeric
+divergence during simulation.  Machine output (csv/json)
 carries 17 significant digits, and json writes non-finite numbers as
 null; the human tables round for reading.  Frequencies on the command
 line are plain Hz; the -wc/-wn controller constants are angular (rad/s),
@@ -71,10 +72,13 @@ def _rows_json(rows: list) -> str:
 
 
 def _emit(args, rows, keys, table=None, payload=None, writes=()) -> int:
-    """The one place a command writes: each call in writes makes one file,
-    after --trace-dir is made; then the result goes to --output (atomically)
-    or stdout.  json is the rows, or payload when given; csv is a header of
-    keys and a line per row; table is the given lines, csv when there are none."""
+    """The one place a command writes: each (path, render) in writes makes
+    one file of render()'s text, in --trace-dir once it is made, and the
+    result goes to --output or stdout.  Every file, --output too, is staged
+    before any is renamed into place (sim.write_atomic), so a failure to
+    write one leaves none.  json is the rows, or payload when given; csv is
+    a header of keys and a line per row; table is the given lines, csv
+    when there are none."""
     if args.format == "json":
         text = (_rows_json(rows) if payload is None
                 else json.dumps(_json_safe(payload), indent=2)) + "\n"
@@ -84,12 +88,16 @@ def _emit(args, rows, keys, table=None, payload=None, writes=()) -> int:
         text = sim.csv_text(keys, ([r[k] for k in keys] for r in rows))
     if getattr(args, "trace_dir", None):
         os.makedirs(args.trace_dir, exist_ok=True)
-    for write in writes:
-        write()
+
+    def files():  # each text is made just before it is staged, so one is held at a time
+        for path, render in writes:
+            yield path, render()
+        if args.output is not None:
+            yield args.output, text
+
+    sim.write_atomic(files())
     if args.output is None:
         sys.stdout.write(text)
-    else:
-        sim.write_atomic(args.output, text)
     return 0
 
 
@@ -308,9 +316,9 @@ def cmd_simulate_board(args) -> int:
             n = np.arange(int(round(20 * fs / args.f)))  # 20 drive cycles
             x = args.amp * np.sin(2.0 * math.pi * args.f * n / fs)
             y = _per_method(label, sim.run_difference_equation, coeffs, x)
-            text = sim.csv_text(("t", "x", "y"), zip((n / fs).tolist(), x.tolist(), y.tolist()))
-            path = os.path.join(args.trace_dir, f"board_{label}.csv")
-            writes.append(functools.partial(sim.write_atomic, path, text))
+            rows_t = zip((n / fs).tolist(), x.tolist(), y.tolist())
+            writes.append((os.path.join(args.trace_dir, f"board_{label}.csv"),
+                           functools.partial(sim.csv_text, ("t", "x", "y"), rows_t)))
     table = [
         f"{r['method']:8s} amp = {r['amplitude']:.4f}  phase = {r['phase_deg']:8.3f} deg  "
         f"predicted = {r['predicted']:.4f}  mismatch = {100 * r['mismatch']:.4f}%"
@@ -331,8 +339,8 @@ def cmd_simulate_inverter(args) -> int:
         trace = _per_method(name, sim.inverter_closed_loop, cfg, legs)
         rows.append({"method": name, "thd_pct": sim.trace_thd(trace, cfg, periods=args.periods)})
         if args.trace_dir:
-            path = os.path.join(args.trace_dir, f"inverter_{name}.csv")
-            writes.append(functools.partial(sim.write_trace_csv, trace, path))
+            writes.append((os.path.join(args.trace_dir, f"inverter_{name}.csv"),
+                           functools.partial(sim._trace_csv_text, trace)))
     table = [f"{r['method']:8s} THDi = {r['thd_pct']:.4f} %" for r in rows]
     return _emit(args, rows, ["method", "thd_pct"], table, writes=writes)
 
@@ -351,8 +359,8 @@ def cmd_optimize(args) -> int:
     writes = []
     if args.trace:
         rows = ((e.stage, e.alpha, e.beta, e.loss, e.best_loss) for e in res.trace)
-        text = sim.csv_text(("stage", "alpha", "beta", "loss", "best_loss"), rows)
-        writes.append(functools.partial(sim.write_atomic, args.trace, text))
+        header = ("stage", "alpha", "beta", "loss", "best_loss")
+        writes.append((args.trace, functools.partial(sim.csv_text, header, rows)))
     summary = {
         "alpha": res.alpha,
         "beta": res.beta,
@@ -481,7 +489,7 @@ def main(argv=None) -> int:
         try:
             args.constants = _constants(args)
             return args.func(args)
-        except (ParamError, OSError) as exc:
+        except (ParamError, OSError, Warning) as exc:  # a Warning the caller's filters raise
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except NumericOverflow as exc:

@@ -81,7 +81,7 @@ class PiParams:
 
 def _unsigned_zeros(coeffs) -> None:
     """Replace -0.0 by 0.0 in every field, so reduced parameter choices print the same table
-    (names from __dataclass_fields__: dataclasses.fields builds a tuple, ~1 us per q_loss call)."""
+    (names from __dataclass_fields__: dataclasses.fields builds a tuple on every call)."""
     for name in coeffs.__dataclass_fields__:
         if getattr(coeffs, name) == 0.0:
             object.__setattr__(coeffs, name, 0.0)
@@ -145,6 +145,20 @@ def pir_continuous(pi: PiParams, qr: QrParams) -> TransferFunction:
     return parallel(pi_continuous(pi), qr_continuous(qr))
 
 
+def _qr_column(p: QrParams, al: float, bc: float, bn: float, T: float) -> tuple[float, ...]:
+    """The closed-form column (a2, a1, a0, b2, b1, b0) at (alpha, beta_c, beta_n),
+    unchecked: the search loss calls it per evaluation, qr_discretize per design."""
+    kr, wc, wn = p.kr, p.omega_c, p.omega_n
+    return (
+        2 * al * bc * kr * wc * T,
+        -(4 * al - 2) * bc * kr * wc * T,
+        -(2 - 2 * al) * bc * kr * wc * T,
+        1 + 2 * al * bc * wc * T + (al * bn * wn * T) ** 2,
+        -2 - (4 * al - 2) * bc * wc * T + 2 * al * (1 - al) * (bn * wn * T) ** 2,
+        1 - (2 - 2 * al) * bc * wc * T + ((1 - al) * bn * wn * T) ** 2,
+    )
+
+
 def qr_discretize(p: QrParams, method: Method, T: float) -> BiquadCoeffs:
     """Closed-form biquad for the resonant element under the given method.
 
@@ -153,17 +167,9 @@ def qr_discretize(p: QrParams, method: Method, T: float) -> BiquadCoeffs:
     equals substituting the map (alpha, beta_c) into the plant with its
     resonance scaled by beta_n/beta_c (see transforms.time_factors).
     """
-    kr, wc, wn = p.kr, p.omega_c, p.omega_n
-    al, bc, bn = time_factors(method, wn, T)
+    al, bc, bn = time_factors(method, p.omega_n, T)
     _warn_unstable_alpha(al)
-    return BiquadCoeffs(
-        a2=2 * al * bc * kr * wc * T,
-        a1=-(4 * al - 2) * bc * kr * wc * T,
-        a0=-(2 - 2 * al) * bc * kr * wc * T,
-        b2=1 + 2 * al * bc * wc * T + (al * bn * wn * T) ** 2,
-        b1=-2 - (4 * al - 2) * bc * wc * T + 2 * al * (1 - al) * (bn * wn * T) ** 2,
-        b0=1 - (2 - 2 * al) * bc * wc * T + ((1 - al) * bn * wn * T) ** 2,
-    )
+    return BiquadCoeffs(*_qr_column(p, al, bc, bn, T))
 
 
 def diff_eq_coeffs(c: BiquadCoeffs) -> DiffEqCoeffs:

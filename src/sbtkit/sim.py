@@ -561,26 +561,39 @@ def csv_text(keys, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Replace the file at path by text in one step: write a temporary
-    sibling, then rename it over the target."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+def write_atomic(files) -> None:
+    """Write each (path, text) pair in two phases: stage every text in a new
+    temporary sibling of its path, then, once all are staged, rename each
+    over its target.  files may be a generator, so each text can be made
+    just before it is staged.  On a failure every temporary still present
+    is removed, so a failure while staging leaves no file, and an OSError
+    names the target it was for."""
+    staged = []
+    path = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):  # not yet renamed
+                os.unlink(tmp)
         if isinstance(exc, OSError) and exc.errno is not None:
             # name the target the caller gave, not the temporary just removed
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
+def _trace_csv_text(trace: SimTrace) -> str:
+    """t,i_grid,v_grid,v_inv rows at full precision."""
+    return csv_text(("t", "i_grid", "v_grid", "v_inv"),
+                    zip(trace.t, trace.i_grid, trace.v_grid, trace.v_inv))
+
+
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """Write t,i_grid,v_grid,v_inv rows at full precision, atomically."""
-    rows = zip(trace.t, trace.i_grid, trace.v_grid, trace.v_inv)
-    write_atomic(path, csv_text(("t", "i_grid", "v_grid", "v_inv"), rows))
+    write_atomic([(path, _trace_csv_text(trace))])

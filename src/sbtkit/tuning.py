@@ -17,10 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import FrequencyGrid, _mag_db, _points, complex_response, default_rmse_grid
-from .controllers import QrParams, qr_continuous, qr_discretize, sbt_params_straightforward, upper_pole
+from .controllers import QrParams, _qr_column, qr_continuous, sbt_params_straightforward, upper_pole
 from .errors import DomainError, ParamError, UnstableWarning
-from .lti import POLE_HIT_TOL
-from .transforms import STABLE_ALPHA_MIN, Sbt, SbtParams, equivalent_s_from_z, z_from_s
+from .lti import POLE_HIT_TOL, _check_positive
+from .transforms import STABLE_ALPHA_MIN, SbtParams, _warn_unstable_alpha, equivalent_s_from_z, z_from_s
 
 __all__ = [
     "LossConfig",
@@ -127,20 +127,30 @@ _default_loss = lru_cache(maxsize=1)(LossConfig)  # one default, so it keeps its
 def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | None = None) -> float:
     """Scalar discretization quality loss at one (alpha, beta) pair.
 
-    Emits UnstableWarning when the monic denominator z^2 + c1*z + c0 fails
-    the Schur-Cohn test |c0| <= 1, |c1| <= 1 + c0 (possible only for alpha
-    below 0.5).  No roots are computed here, so quadratic_roots and its
-    residual check run only in pole_map_table.
+    Validates like qr_discretize (SbtParams, the sample period, the
+    StabilityRangeWarning below alpha 0.5), then takes the six coefficients
+    straight from controllers._qr_column, so no dataclass is built per
+    evaluation.  Emits UnstableWarning when the monic denominator
+    z^2 + c1*z + c0 fails the Schur-Cohn test |c0| <= 1, |c1| <= 1 + c0
+    (possible only for alpha below 0.5).  No roots are computed here, so
+    quadratic_roots and its residual check run only in pole_map_table.
 
     The response is analysis.complex_response's arithmetic written out on
-    the cached z (Horner, num/1 at pole hits, +inf dB there), so the loss
-    equals the one built from the public evaluators bit for bit.
+    the cached z (Horner, num/1 at pole hits, +inf dB there), in place, so
+    the loss equals the one built from the public evaluators bit for bit.
+    The pole-hit mask is built only when a hit is possible: for complex
+    poles, |z^2 + c1*z + c0| >= (1 - sqrt(c0))^2 on |z| = 1, and when b2
+    times that bound clears POLE_HIT_TOL by more than Horner's rounding,
+    no grid point is a hit.  Real poles, poles near the circle and nan
+    coefficients always build it.
     """
     if cfg is None:
         cfg = _default_loss()
     params = SbtParams(alpha, beta)
-    biq = qr_discretize(p, Sbt(params), T)
-    c0, c1 = biq.b0 / biq.b2, biq.b1 / biq.b2
+    _check_positive("sample period", T)
+    _warn_unstable_alpha(alpha)
+    a2, a1, a0, b2, b1, b0 = _qr_column(p, alpha, beta, beta, T)
+    c0, c1 = b0 / b2, b1 / b2
     if not (abs(c0) <= 1.0 and abs(c1) <= 1.0 + c0):
         warnings.warn(f"discrete poles outside the unit disk for alpha={alpha}, beta={beta}",
                       UnstableWarning, stacklevel=2)
@@ -151,15 +161,33 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
 
     z, ref, w = _context(p, T, cfg)
     with np.errstate(all="ignore"):
-        den = (biq.b2 * z + biq.b1) * z + biq.b0
-        hit = np.abs(den) < POLE_HIT_TOL
-        mag = np.abs(((biq.a2 * z + biq.a1) * z + biq.a0) / np.where(hit, 1.0, den))
+        den = b2 * z
+        den += b1
+        den *= z
+        den += b0
+        num = a2 * z
+        num += a1
+        num *= z
+        num += a0
+        # for complex poles |den| >= b2*(1 - sqrt(c0))^2 on |z| = 1: when that
+        # clears POLE_HIT_TOL past Horner's rounding, no grid point is a hit
+        gap = 1.0 - math.sqrt(c0) if c1 * c1 < 4.0 * c0 else 0.0
+        hit = None
+        if not abs(b2) * gap * gap > POLE_HIT_TOL + 1e-12 * (abs(b2) + abs(b1) + abs(b0)):
+            hit = np.abs(den) < POLE_HIT_TOL
+            den[hit] = 1.0  # num/1 at a pole hit, as complex_response
+        num /= den
+        mag = np.abs(num)
         if cfg.loss_kind == "mag_rmse_db":
-            mag = np.where(hit, np.inf, 20.0 * np.log10(mag))
+            np.log10(mag, out=mag)
+            mag *= 20.0
+            if hit is not None:
+                mag[hit] = np.inf
         err = ref - mag
         if w is not None:
             return math.sqrt(np.add.reduce(w * err * err) / np.add.reduce(w))
-        return math.sqrt(np.add.reduce(err * err) / err.size)
+        err *= err
+        return math.sqrt(np.add.reduce(err) / err.size)
 
 
 def _axis_points(lo: float, hi: float, n: int) -> np.ndarray:

@@ -696,3 +696,36 @@ def test_a_library_warning_is_one_line_on_stderr(capsys):
     code, out, err = run_err(capsys, "discretize", "--method", "sbt", "--alpha", "0.3")
     assert code == 0 and out.startswith("sbt\n")
     assert err == "warning: alpha=0.3 below 0.5: discretized poles may leave the unit disk\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "board", "--methods", "euler,sbt"),
+    ("simulate", "inverter", "--methods", "pi,sbt", "--duration", "0.4"),
+])
+def test_an_output_that_cannot_be_written_leaves_no_trace_file(tmp_path, capsys, argv):
+    # every file is staged before any is renamed into place, so the traces go too
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_err(capsys, *argv, "--trace-dir", str(tmp_path / "D"),
+                             "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err and err.count("\n") == 1
+    assert not list((tmp_path / "D").iterdir())
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_trace_and_an_output_are_written_together(tmp_path, capsys):
+    code, out = run(capsys, "simulate", "board", "--methods", "euler,sbt",
+                    "--trace-dir", str(tmp_path / "D"), "--output", str(tmp_path / "out.txt"))
+    assert code == 0 and out == ""
+    assert sorted(p.name for p in (tmp_path / "D").iterdir()) == ["board_euler.csv", "board_sbt.csv"]
+    assert (tmp_path / "out.txt").read_text().startswith("euler ")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_warning_raised_as_an_error_exits_2(capsys):
+    # python -W error: the flag asked for an alpha below the stable range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_err(capsys, "discretize", "--method", "sbt", "--alpha", "0.3")
+    assert code == 2 and out == ""
+    assert err == "error: alpha=0.3 below 0.5: discretized poles may leave the unit disk\n"

@@ -6,7 +6,8 @@ cases that must end in exit 0, all in process through ``sbtkit.cli.main``.  Each
 sha256 over stdout, stderr, the warnings raised and every file the case
 wrote, and its argv.  Temporary paths print as ``{tmp}`` (the case's
 directory) and ``{config}`` (the config and grid files), also inside the
-hashed output.
+hashed output.  A case whose argv starts with ``-W error`` runs with every
+warning raised as an exception, as ``python -W error`` would run it.
 
     python3 tools/golden.py > golden.txt
 
@@ -87,10 +88,15 @@ ERROR_CASES = [
     # exit 4 and no trace file: a later method diverges after the first one ran
     ("simulate", "board", "--methods", "euler,sbt", "--alpha", "0.05", "--trace-dir", "{tmp}"),
     ("simulate", "inverter", "--methods", "pi,sbt", "--alpha", "0.05", "--trace-dir", "{tmp}"),
+    # exit 2 and no trace file: the result cannot be written
+    ("simulate", "board", "--methods", "euler,sbt", "--trace-dir", "{tmp}",
+     "--output", "{tmp}/missing/out.txt"),
     # exit 3: a run that has not settled names its method
     ("simulate", "board", "--methods", "euler,sbt", "--settle-cycles", "2"),
     # exit 0 with a library warning as one line on stderr
     ("discretize", "--method", "sbt", "--alpha", "0.3"),
+    # exit 2: the same warning raised as an error, as under python -W error
+    ("-W", "error", "discretize", "--method", "sbt", "--alpha", "0.3"),
     # exit 0: a method name in capitals, a grid whose top points overflow to null
     ("error", "--method", "SBT"),
     ("bode", "--grid", "1:1e308:5:log", "--format", "json"),
@@ -147,6 +153,7 @@ def board_cases(board: dict | None, config: str | None) -> list[tuple[str, ...]]
         ("optimize", "--trace", "{tmp}/trace.csv") + flags,
         ("optimize", "--loss", "pole-distance", "--coarse", "9", "--iters", "6") + flags,
         ("rmse", "--output", "{tmp}/rmse.out") + flags,
+        ("optimize", "--loss", "mag-rmse-linear", "--trace", "{tmp}/trace_linear.csv") + flags,
     ]
 
 
@@ -174,12 +181,15 @@ def all_cases(config_dir: str) -> list[tuple[str, ...]]:
 
 
 def run_case(argv: tuple[str, ...], tmp: str, config_dir: str) -> tuple[int, str]:
+    """Run one case; a case that starts with -W error runs with every warning
+    raised as an exception, as under python -W error."""
+    strict = argv[:2] == ("-W", "error")
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
+        warnings.simplefilter("error" if strict else "always")
         try:
-            code = cli.main([a.replace("{tmp}", tmp) for a in argv])
+            code = cli.main([a.replace("{tmp}", tmp) for a in (argv[2:] if strict else argv)])
         except SystemExit as exc:
             code = exc.code
     digest = hashlib.sha256()
