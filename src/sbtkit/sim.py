@@ -29,7 +29,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .controllers import DiffEqCoeffs
 from .errors import (
@@ -107,7 +106,9 @@ def _decays(A) -> bool:
     """Whether some power A^(2^j), j <= 20, has every absolute row sum at
     most 1/2, which proves the spectral radius of A below one.  No A with
     radius >= 1 or a non-finite entry passes, nor a stable A too slow to
-    halve within 2^20 steps."""
+    halve within 2^20 steps.  The block runner passes A^K, whose radius is
+    below one iff that of A is; the slowest decay it accepts then halves
+    within A^(K*2^20)."""
     power = A
     for _ in range(21):
         if np.abs(power).sum(axis=1).max() <= 0.5:
@@ -129,6 +130,16 @@ def _scan_pays(ns: int, nb: int) -> bool:
     ns^2; the loop takes about 2 us per block, taken as 1.5 for a margin."""
     levels = (nb - 1).bit_length()  # ceil(log2(nb))
     return X87_LONG_DOUBLE and 5.5 * (levels - 1) * ns**3 + 0.1 * levels * nb * ns**2 <= 1500.0 * nb
+
+
+@functools.lru_cache(maxsize=4)
+def _toeplitz_index(K: int) -> np.ndarray:
+    """The (K, K) index K - 1 - j + k into the Markov parameters after K - 1
+    zeros: entry [j, k] picks parameter k - j, a zero for k < j."""
+    k = np.arange(K)
+    index = K - 1 - k[:, None] + k
+    index.flags.writeable = False
+    return index
 
 
 def _block_lti(A, B, C, D, inputs):
@@ -158,7 +169,8 @@ def _block_lti(A, B, C, D, inputs):
     signal peak (the README gives a longer run where both drift further).
 
     Returns the output rows, or None when the per-step loop must run
-    instead: A is not shown to decay (spectral radius >= 1), or an
+    instead: A^K, the power the products need anyway, is not shown to
+    decay (spectral radius >= 1, or no halving within A^(K*2^20)), or an
     output, a block-edge state or the state after the last sample is not
     finite and below OVERFLOW_GUARD.
     """
@@ -166,14 +178,14 @@ def _block_lti(A, B, C, D, inputs):
     p = C.shape[0]
     total = len(inputs[0])
     with np.errstate(all="ignore"):
-        if not _decays(A):
-            return None
         K = min(BLOCK, total)
         nb, tail = divmod(total, K)
         powers = np.empty((K + 1, ns, ns))  # A^0 .. A^K
         powers[0] = np.eye(ns)
         for k in range(K):
             powers[k + 1] = powers[k] @ A
+        if not _decays(powers[K]):
+            return None
         state_out = (C @ powers[:K]).transpose(1, 0, 2)  # [o, j] = row o of C A^j
         weights = (powers[K - 1 :: -1] @ B).transpose(2, 0, 1)  # [i, j] = A^(K-1-j) B_i
         # the Markov parameters D, CB, CAB, ... after K - 1 zeros
@@ -181,7 +193,7 @@ def _block_lti(A, B, C, D, inputs):
         markov[:, :, K - 1] = D
         markov[:, :, K:] = (state_out[:, : K - 1] @ B).transpose(0, 2, 1)
         # [o, i, j, k] = Markov parameter k - j, 0 for k < j: a row of inputs times it is their convolution
-        toeplitz = sliding_window_view(markov, K, axis=2)[:, :, ::-1]
+        toeplitz = np.take(markov, _toeplitz_index(K), axis=2)
         blocks = [row[: nb * K].reshape(nb, K) for row in inputs]
 
         edges = np.zeros((nb + 1, ns))  # the state before each whole block, and after the last
@@ -444,9 +456,10 @@ class SimTrace:
 
 
 def _closed_loop_system(legs, delay: int, coef: float):
-    """The current loop as (A, B, C, D) with inputs [i_ref, v_grid],
-    outputs [i_grid, v_inv] and the state [legs, delay line oldest first,
-    inductor current]."""
+    """The current loop as (A, B, C, D) with inputs [i_ref, v_grid], the
+    state [legs, delay line oldest first, inductor current] and one
+    output: the inductor current after each step, the state's next-state
+    row (C and D are the inductor rows of A and B)."""
     la, lb, lc, ld = _legs_system(legs)
     nl = len(la)
     ns = nl + delay + 1
@@ -464,8 +477,7 @@ def _closed_loop_system(legs, delay: int, coef: float):
         nxt[nl : il - 1, nl + 1 : il] = np.eye(delay - 1)
         nxt[il - 1] = cmd
     nxt[il] = unit[il] + coef * (vb - unit[grid])
-    out = np.stack([unit[il], vb])
-    return nxt[:, :ns], nxt[:, ns:], out[:, :ns], out[:, ns:]
+    return nxt[:, :ns], nxt[:, ns:], nxt[il:, :ns], nxt[il:, ns:]
 
 
 def _closed_loop_steps(legs, delay: int, coef: float, i_ref: np.ndarray, v_grid: np.ndarray):
@@ -498,19 +510,34 @@ def _closed_loop_steps(legs, delay: int, coef: float, i_ref: np.ndarray, v_grid:
     return i_grid, v_inv
 
 
+def _time_row(fs_ctrl: float, duration: float) -> np.ndarray:
+    """The sample times of a run."""
+    return np.arange(round(duration * fs_ctrl)) * (1.0 / fs_ctrl)
+
+
+@functools.lru_cache(maxsize=1)
+def _fundamental(fs_ctrl: float, duration: float, grid_freq: float) -> np.ndarray:
+    """The grid-frequency sine of a run, read-only: one row for the grid
+    voltage and the reference, shared by the configs that differ only in
+    their harmonic or amplitudes."""
+    row = np.sin(2.0 * math.pi * grid_freq * _time_row(fs_ctrl, duration))
+    row.flags.writeable = False
+    return row
+
+
 @functools.lru_cache(maxsize=1)
 def _drive_signals(cfg: InverterConfig):
     """The (t, v_grid, i_ref) rows of a run, read-only: every method run at
     one config shares them, and the next config replaces them."""
-    T = 1.0 / cfg.fs_ctrl
-    steps = round(cfg.duration * cfg.fs_ctrl)
-    w1 = 2.0 * math.pi * cfg.grid_freq
-    wh = 2.0 * math.pi * cfg.harmonic_freq
-    a1 = math.sqrt(2.0) * cfg.grid_vrms
-
-    t = np.arange(steps) * T
-    fundamental = np.sin(w1 * t)  # one sine for the grid voltage and the reference
-    v_grid = a1 * fundamental + cfg.harmonic_amp * np.sin(wh * t)
+    t = _time_row(cfg.fs_ctrl, cfg.duration)
+    fundamental = _fundamental(cfg.fs_ctrl, cfg.duration, cfg.grid_freq)
+    # the harmonic sine is the one row a new config must compute; built in
+    # place, it makes no temporary of the run's length
+    harmonic = np.multiply(t, 2.0 * math.pi * cfg.harmonic_freq)
+    np.sin(harmonic, out=harmonic)
+    harmonic *= cfg.harmonic_amp
+    v_grid = np.multiply(fundamental, math.sqrt(2.0) * cfg.grid_vrms)
+    v_grid += harmonic
     i_ref = cfg.i_ref_amplitude * fundamental
     for row in (t, v_grid, i_ref):
         row.flags.writeable = False
@@ -525,12 +552,27 @@ def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
     commanded voltage (controller output plus measured grid voltage
     feedforward) reaches the bridge delay_samples later.  The trace's t
     and v_grid are read-only, and shared by the runs at one config.
+
+    The block route computes one row, the inductor current after each
+    step.  i_grid is that row shifted one sample, from the zero initial
+    state, and v_inv follows from the inductor step
+    i[n+1] = i[n] + coef*(v_inv[n] - v_grid[n]), so its rounding error is
+    the current's times L*fs.
     """
     legs = _as_legs(controller)
     t, v_grid, i_ref = _drive_signals(cfg)
     delay, coef = int(cfg.delay_samples), 1.0 / cfg.fs_ctrl / cfg.l_filter
     run = _block_lti(*_closed_loop_system(legs, delay, coef), [i_ref, v_grid])
-    i_grid, v_inv = _closed_loop_steps(legs, delay, coef, i_ref, v_grid) if run is None else run
+    if run is None:
+        i_grid, v_inv = _closed_loop_steps(legs, delay, coef, i_ref, v_grid)
+    else:
+        v_inv = run[0]  # the current after each step, until it becomes v_inv in place
+        i_grid = np.empty_like(v_inv)
+        i_grid[0] = 0.0
+        i_grid[1:] = v_inv[:-1]
+        v_inv -= i_grid
+        v_inv /= coef
+        v_inv += v_grid
     return SimTrace(t=t, i_grid=i_grid, v_grid=v_grid, v_inv=v_inv)
 
 

@@ -550,3 +550,77 @@ def test_block_closed_loop_with_more_states_than_the_scan_takes():
     i_grid, v_inv = sim._closed_loop_steps(legs, 64, coef, i_ref, v_grid)
     assert np.max(np.abs(trace.i_grid - i_grid)) <= 1e-12 * np.max(np.abs(i_grid))
     assert np.max(np.abs(trace.v_inv - v_inv)) <= 1e-12 * np.max(np.abs(v_inv))
+
+
+# The block route's one output: the inductor current after each step.
+
+
+@pytest.mark.parametrize("delay", [0, 1, 3])
+def test_closed_loop_output_is_the_inductor_row_of_the_next_state(delay):
+    A, B, C, D = sim._closed_loop_system(inverter_legs(TustinPrewarp()), delay, 0.1)
+    assert C.shape == (1, len(A)) and D.shape == (1, 2)
+    assert np.array_equal(C[0], A[-1]) and np.array_equal(D[0], B[-1])
+
+
+def test_block_route_starts_the_grid_current_at_zero():
+    cfg = InverterConfig(duration=0.4)
+    legs = inverter_legs(Sbt(SbtParams(0.5, 1.0)))
+    _, v_grid, i_ref = sim._drive_signals(cfg)
+    system = sim._closed_loop_system(legs, cfg.delay_samples, 1.0 / (cfg.fs_ctrl * cfg.l_filter))
+    assert sim._block_lti(*system, [i_ref, v_grid]) is not None
+    assert inverter_closed_loop(cfg, legs).i_grid[0] == 0.0
+
+
+def _wide_loop_points():
+    from sbtkit import Euler
+
+    rng = np.random.default_rng(18)
+    methods = [None, Euler(), TustinPrewarp(), Sbt(SbtParams(0.5, 1.0))]  # None: the PI leg alone
+    points = []
+    for k in range(16):
+        fs = 50.0 * round(rng.uniform(10000.0, 80000.0) / 50.0)
+        l_filter = math.exp(rng.uniform(math.log(50e-6), math.log(20e-3)))
+        delay = int(rng.integers(0, 6))
+        method = methods[k % 4]
+        name = "pi" if method is None else type(method).__name__.lower()
+        points.append(pytest.param(fs, l_filter, delay, method,
+                                   id=f"fs{fs:g}-L{l_filter:.3g}-delay{delay}-{name}"))
+    return points
+
+
+@pytest.mark.filterwarnings("ignore::sbtkit.StabilityRangeWarning")
+@pytest.mark.parametrize("fs, l_filter, delay, method", _wide_loop_points())
+def test_block_loop_columns_equal_the_per_step_loop_over_wide_plants(fs, l_filter, delay, method):
+    # v_inv follows from two consecutive currents, so its error is theirs times L*fs
+    legs = [pi_discretize(PI, 1.0 / fs)] if method is None else pir_discretize(PI, INV, method, 1.0 / fs)
+    coef = 1.0 / (fs * l_filter)
+    A = sim._closed_loop_system(legs, delay, coef)[0]
+    if np.max(np.abs(np.linalg.eigvals(A))) >= 1.0:
+        pytest.skip("closed loop not stable at this point: only the per-step route runs")
+    cfg = InverterConfig(fs_ctrl=fs, l_filter=l_filter, delay_samples=delay, duration=0.4)
+    trace = inverter_closed_loop(cfg, legs)
+    _, v_grid, i_ref = sim._drive_signals(cfg)
+    i_grid, v_inv = sim._closed_loop_steps(legs, delay, coef, i_ref, v_grid)
+    assert np.max(np.abs(trace.i_grid - i_grid)) <= 1e-12 * np.max(np.abs(i_grid))
+    assert np.max(np.abs(trace.v_inv - v_inv)) <= 1e-12 * np.max(np.abs(v_inv))
+
+
+@pytest.mark.parametrize("K", [1, 2, 64])
+def test_toeplitz_index_equals_the_reversed_sliding_window(K):
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    markov = np.random.default_rng(K).normal(size=(2, 3, 2 * K - 1))
+    want = sliding_window_view(markov, K, axis=2)[:, :, ::-1]
+    got = markov[:, :, sim._toeplitz_index(K)]
+    assert got.shape == want.shape == (2, 3, K, K)
+    assert np.array_equal(got, want)
+
+
+def test_configs_that_differ_only_in_the_harmonic_share_one_fundamental():
+    sim._drive_signals.cache_clear()
+    sim._fundamental.cache_clear()
+    _, first_grid, first_ref = sim._drive_signals(InverterConfig(duration=0.4, harmonic_freq=550.0))
+    _, other_grid, other_ref = sim._drive_signals(InverterConfig(duration=0.4, harmonic_freq=650.0))
+    info = sim._fundamental.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert np.array_equal(other_ref, first_ref) and not np.array_equal(other_grid, first_grid)

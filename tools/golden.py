@@ -1,13 +1,15 @@
 """Golden output of the sbtkit CLI: one line per case, for diffing two trees.
 
 Runs every subcommand in table, csv and json at the reference board and at
-six seeded boards, plus cases that must end in exit 2, 3 or 4 and edge
-cases that must end in exit 0, all in process through ``sbtkit.cli.main``.  Each case prints its exit code, a
-sha256 over stdout, stderr, the warnings raised and every file the case
-wrote, and its argv.  Temporary paths print as ``{tmp}`` (the case's
-directory) and ``{config}`` (the config and grid files), also inside the
-hashed output.  A case whose argv starts with ``-W error`` runs with every
-warning raised as an exception, as ``python -W error`` would run it.
+six seeded boards, one inverter run at a high rate behind a long delay,
+plus cases that must end in exit 2, 3 or 4 and edge cases that must end in
+exit 0, all in process through ``sbtkit.cli.main``.  Each case prints its
+exit code, a sha256 over stdout, stderr, the warnings raised and every
+file and directory the case left in its directory, and its argv.
+Temporary paths print as ``{tmp}`` (the case's directory) and
+``{config}`` (the config and grid files), also inside the hashed output.
+A case whose argv starts with ``-W error`` runs with every warning raised
+as an exception, as ``python -W error`` would run it.
 
     python3 tools/golden.py > golden.txt
 
@@ -91,6 +93,8 @@ ERROR_CASES = [
     # exit 2 and no trace file: the result cannot be written
     ("simulate", "board", "--methods", "euler,sbt", "--trace-dir", "{tmp}",
      "--output", "{tmp}/missing/out.txt"),
+    ("simulate", "board", "--methods", "euler,sbt", "--trace-dir", "{tmp}/traces",
+     "--output", "{tmp}/missing/out.txt"),
     # exit 3: a run that has not settled names its method
     ("simulate", "board", "--methods", "euler,sbt", "--settle-cycles", "2"),
     # exit 0 with a library warning as one line on stderr
@@ -171,6 +175,9 @@ def all_cases(config_dir: str) -> list[tuple[str, ...]]:
     for board, config in boards:
         for argv in board_cases(board, config):
             cases += [argv + ("--format", fmt) for fmt in FORMATS]
+    # a high control rate behind a long bridge delay, so v_inv comes from a steep current
+    cases += [("simulate", "inverter", "--fs-ctrl", "80000", "--delay-samples", "5",
+               "--trace-dir", "{tmp}", "--format", fmt) for fmt in FORMATS]
     with open(os.path.join(config_dir, "kr_inv.json"), "w", encoding="utf-8") as fh:
         json.dump({"kr_inv": 1e308}, fh)
     for name, content in (("grid_abc.txt", b"900\nabc\n"), ("grid_bytes.txt", b"900\n\xff\n"),
@@ -197,9 +204,15 @@ def run_case(argv: tuple[str, ...], tmp: str, config_dir: str) -> tuple[int, str
         digest.update(part.replace(tmp, "{tmp}").replace(config_dir, "{config}").encode() + b"\0")
     for w in caught:
         digest.update(f"{w.category.__name__}: {w.message}".encode() + b"\0")
-    for name in sorted(os.listdir(tmp)):
-        with open(os.path.join(tmp, name), "rb") as fh:
-            digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    for root, dirs, names in os.walk(tmp):  # top-down: a case's own files first, as named before
+        dirs.sort()
+        rel = os.path.relpath(root, tmp).replace(os.sep, "/")
+        prefix = "" if rel == "." else rel + "/"
+        if prefix:  # a directory left behind shows even when it is empty
+            digest.update(prefix.encode() + b"\0")
+        for name in sorted(names):
+            with open(os.path.join(root, name), "rb") as fh:
+                digest.update((prefix + name).encode() + b"\0" + fh.read() + b"\0")
     return code, digest.hexdigest()
 
 
