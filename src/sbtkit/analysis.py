@@ -16,7 +16,7 @@ import numpy as np
 
 from .controllers import QrParams, qr_discretize, sbt_params_straightforward, upper_pole
 from .errors import CrossCheckError, DomainError, EmptyInput, ParamError
-from .lti import POLE_HIT_TOL, Polynomial, TransferFunction, _horner, quadratic_roots
+from .lti import POLE_HIT_TOL, Polynomial, TransferFunction, quadratic_roots
 from .transforms import (
     METHODS,
     Method,
@@ -173,12 +173,37 @@ def _points(freqs: np.ndarray, dt: float | None) -> np.ndarray:
         return 1j * 2.0 * math.pi * freqs if dt is None else np.exp(1j * 2.0 * math.pi * freqs * dt)
 
 
+def _basis(x: np.ndarray, n: int) -> np.ndarray:
+    """x**0 ... x**(n-1) as an (n, 2N) float array, real and imaginary parts
+    interleaved.  Row k is row k-1 times x.  Call under np.errstate: a power
+    of a continuous point can overflow."""
+    powers = np.empty((n, x.size), dtype=complex)
+    powers[0] = 1.0
+    for k in range(1, n):
+        np.multiply(powers[k - 1], x, out=powers[k])
+    return powers.view(float)
+
+
+def _values(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Every row of ascending coefficients (a C-contiguous float64 (m, n)
+    array) at every point of an n-row _basis, as one BLAS product: (m, N) complex."""
+    return (rows @ basis).view(complex)
+
+
 def _ratio(num, den, x: np.ndarray):
-    """complex_response at the points x for ascending coefficients, without numpy warnings."""
+    """complex_response at the points x for ascending coefficients, without numpy warnings.
+
+    The shorter polynomial is padded with zeros, so where a power of x
+    overflows, as it can far up a continuous sweep, its value is nan.
+    """
+    n = max(len(num), len(den))
+    rows = np.zeros((2, n))
+    rows[0, :len(den)] = den
+    rows[1, :len(num)] = num
     with np.errstate(all="ignore"):
-        denv = _horner(den, x)
+        denv, numv = _values(rows, _basis(x, n))
         hit = np.abs(denv) < POLE_HIT_TOL
-        return np.asarray(_horner(num, x)) / np.where(hit, 1.0, denv), hit
+        return numv / np.where(hit, 1.0, denv), hit
 
 
 def complex_response(tf: TransferFunction, freqs: np.ndarray):

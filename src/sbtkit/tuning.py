@@ -16,7 +16,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import FrequencyGrid, _mag_db, _points, complex_response, default_rmse_grid
+from .analysis import (
+    FrequencyGrid,
+    _basis,
+    _mag_db,
+    _points,
+    _values,
+    complex_response,
+    default_rmse_grid,
+)
 from .controllers import QrParams, _qr_column, qr_continuous, sbt_params_straightforward, upper_pole
 from .errors import DomainError, ParamError, UnstableWarning
 from .lti import POLE_HIT_TOL, _check_positive
@@ -113,12 +121,13 @@ class OptimizeResult:
 
 @lru_cache(maxsize=4)  # a search reuses one; each holds a grid and two arrays
 def _context(p: QrParams, T: float, cfg: LossConfig):
-    """What the magnitude losses of one search share: z = exp(j*2*pi*f*T)
-    over the grid, the analog reference (in dB for mag_rmse_db) and the weights."""
+    """What the magnitude losses of one search share: the 3-row analysis._basis
+    of z = exp(j*2*pi*f*T) over the grid, the analog reference (in dB for
+    mag_rmse_db) and the weights."""
     freqs = cfg.grid.as_array()
     h, hit = complex_response(qr_continuous(p), freqs)
     ref = _mag_db(h, hit) if cfg.loss_kind == "mag_rmse_db" else np.abs(h)
-    return _points(freqs, T), ref, None if cfg.weights is None else np.asarray(cfg.weights)
+    return _basis(_points(freqs, T), 3), ref, None if cfg.weights is None else np.asarray(cfg.weights)
 
 
 _default_loss = lru_cache(maxsize=1)(LossConfig)  # one default, so it keeps its _context entry
@@ -135,14 +144,14 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
     (possible only for alpha below 0.5).  No roots are computed here, so
     quadratic_roots and its residual check run only in pole_map_table.
 
-    The response is analysis.complex_response's arithmetic written out on
-    the cached z (Horner, num/1 at pole hits, +inf dB there), in place, so
-    the loss equals the one built from the public evaluators bit for bit.
-    The pole-hit mask is built only when a hit is possible: for complex
-    poles, |z^2 + c1*z + c0| >= (1 - sqrt(c0))^2 on |z| = 1, and when b2
-    times that bound clears POLE_HIT_TOL by more than Horner's rounding,
-    no grid point is a hit.  Real poles, poles near the circle and nan
-    coefficients always build it.
+    The response goes through analysis._values, complex_response's one
+    product, on the cached power basis of the grid (num/1 at pole hits,
+    +inf dB there), so the loss equals the one built from the public
+    evaluators bit for bit.  The pole-hit mask is built only when a hit is
+    possible: for complex poles, |z^2 + c1*z + c0| >= (1 - sqrt(c0))^2 on
+    |z| = 1, and when b2 times that bound clears POLE_HIT_TOL by more than
+    the product's rounding, no grid point is a hit.  Real poles, poles near
+    the circle and nan coefficients always build it.
     """
     if cfg is None:
         cfg = _default_loss()
@@ -159,18 +168,11 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
         eq = equivalent_s_from_z(z_from_s(original, params, T), T)
         return abs(eq - original) / p.omega_n
 
-    z, ref, w = _context(p, T, cfg)
+    basis, ref, w = _context(p, T, cfg)
     with np.errstate(all="ignore"):
-        den = b2 * z
-        den += b1
-        den *= z
-        den += b0
-        num = a2 * z
-        num += a1
-        num *= z
-        num += a0
+        den, num = _values(np.array([[b0, b1, b2], [a0, a1, a2]]), basis)
         # for complex poles |den| >= b2*(1 - sqrt(c0))^2 on |z| = 1: when that
-        # clears POLE_HIT_TOL past Horner's rounding, no grid point is a hit
+        # clears POLE_HIT_TOL past the product's rounding, no grid point is a hit
         gap = 1.0 - math.sqrt(c0) if c1 * c1 < 4.0 * c0 else 0.0
         hit = None
         if not abs(b2) * gap * gap > POLE_HIT_TOL + 1e-12 * (abs(b2) + abs(b1) + abs(b0)):

@@ -16,14 +16,28 @@ as an exception, as ``python -W error`` would run it.
 The package is imported from the ``src`` directory next to this script, so
 running the script of one checkout always measures that checkout.  Compare
 two checkouts with ``diff`` on their outputs.
+
+With ``--values``, a json case that printed json prints the numbers (and
+strings and nulls) it parsed to, in document order, in place of its hash;
+every other case prints its hash as before.  ``--max-rel A B`` reads two
+such outputs and reports, per subcommand, how many lines changed and the
+largest relative change |a - b| / max(|a|, |b|) over the parsed finite
+numbers, with the case where it occurs, and the largest absolute change.
+A changed exit code, shape, string or null is counted apart, and so is a
+changed hash, whose size is unknown.
+
+    python3 tools/golden.py --values > values.txt
+    python3 tools/golden.py --max-rel parent_values.txt values.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -187,9 +201,10 @@ def all_cases(config_dir: str) -> list[tuple[str, ...]]:
     return cases + [tuple(a.replace("{config}", config_dir) for a in argv) for argv in ERROR_CASES]
 
 
-def run_case(argv: tuple[str, ...], tmp: str, config_dir: str) -> tuple[int, str]:
-    """Run one case; a case that starts with -W error runs with every warning
-    raised as an exception, as under python -W error."""
+def run_case(argv: tuple[str, ...], tmp: str, config_dir: str) -> tuple[int, str, str]:
+    """Run one case: its exit code, digest and stdout.  A case that starts
+    with -W error runs with every warning raised as an exception, as under
+    python -W error."""
     strict = argv[:2] == ("-W", "error")
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
@@ -213,10 +228,109 @@ def run_case(argv: tuple[str, ...], tmp: str, config_dir: str) -> tuple[int, str
         for name in sorted(names):
             with open(os.path.join(root, name), "rb") as fh:
                 digest.update((prefix + name).encode() + b"\0" + fh.read() + b"\0")
-    return code, digest.hexdigest()
+    return code, digest.hexdigest(), out.getvalue()
+
+
+def leaves(doc) -> list:
+    """The scalars of a parsed json document in document order."""
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in leaves(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in leaves(v)]
+    return [doc]
+
+
+def values_of(argv: tuple[str, ...], out: str) -> list | None:
+    """The leaves of a json case's stdout, or None for any other case."""
+    if argv[-2:] != ("--format", "json") or not out:
+        return None
+    return leaves(json.loads(out))
+
+
+def subcommand(label: str) -> str:
+    words = label.split()
+    if words[:2] == ["-W", "error"]:
+        words = words[2:]
+    return " ".join(words[:2]) if words[0] == "simulate" else words[0]
+
+
+def read_lines(path: str) -> list[tuple[str, object, str]]:
+    """(exit code, hash or parsed values, label) for each line of a golden output."""
+    decoder = json.JSONDecoder()
+    lines = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            code, rest = line.rstrip("\n").split(" ", 1)
+            if rest.startswith("["):
+                payload, end = decoder.raw_decode(rest)
+            else:
+                end = rest.index(" ")
+                payload = rest[:end]
+            lines.append((code, payload, rest[end + 1:]))
+    return lines
+
+
+def changes(a: list, b: list) -> tuple[float, float, bool]:
+    """Largest relative and absolute change over the pairs of finite numbers
+    that differ, and whether anything else (shape, string, null) changed."""
+    if len(a) != len(b):
+        return 0.0, 0.0, True
+    rel = dif = 0.0
+    other = False
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                      for v in (x, y))
+        if not numbers:
+            other = True
+            continue
+        rel = max(rel, abs(x - y) / max(abs(x), abs(y)))
+        dif = max(dif, abs(x - y))
+    return rel, dif, other
+
+
+def max_rel(path_a: str, path_b: str) -> int:
+    """Print, per subcommand: the cases, the lines that changed, how many of
+    those are hashes (changed by an unknown amount) and how many changed in
+    exit code, shape, a string or a null, then the largest relative and
+    absolute change of a number and the case with the largest relative one."""
+    lines_a, lines_b = read_lines(path_a), read_lines(path_b)
+    if [x[2] for x in lines_a] != [x[2] for x in lines_b]:
+        print("error: the two outputs do not list the same cases", file=sys.stderr)
+        return 2
+    report: dict[str, list] = {}
+    for (code_a, got_a, label), (code_b, got_b, _) in zip(lines_a, lines_b):
+        row = report.setdefault(subcommand(label), [0, 0, 0, 0, 0.0, 0.0, ""])
+        row[0] += 1
+        if (code_a, got_a) == (code_b, got_b):
+            continue
+        row[1] += 1
+        if code_a != code_b or isinstance(got_a, list) != isinstance(got_b, list):
+            row[3] += 1
+        elif not isinstance(got_a, list):
+            row[2] += 1
+        else:
+            rel, dif, other = changes(got_a, got_b)
+            row[3] += other
+            if rel > row[4]:
+                row[4], row[6] = rel, label
+            row[5] = max(row[5], dif)
+    print("subcommand         cases  changed  hashed  other  max_rel  max_abs  at")
+    for name, (cases, changed, hashed, other, rel, dif, at) in report.items():
+        print(f"{name:18s} {cases:5d} {changed:8d} {hashed:7d} {other:6d} {rel:8.2g} {dif:8.2g}  {at}")
+    return 0
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Golden output of the sbtkit CLI.")
+    parser.add_argument("--values", action="store_true",
+                        help="print a json case's parsed values in place of its hash")
+    parser.add_argument("--max-rel", nargs=2, metavar=("A", "B"),
+                        help="compare two --values outputs per subcommand")
+    args = parser.parse_args()
+    if args.max_rel:
+        return max_rel(*args.max_rel)
     os.environ.pop(cli.GRID_ENV, None)
     with tempfile.TemporaryDirectory() as root:
         config_dir = os.path.join(root, "config")
@@ -224,7 +338,10 @@ def main() -> int:
         for i, argv in enumerate(all_cases(config_dir)):
             tmp = os.path.join(root, f"case{i}")
             os.mkdir(tmp)
-            code, digest = run_case(argv, tmp, config_dir)
+            code, digest, out = run_case(argv, tmp, config_dir)
+            values = values_of(argv, out) if args.values else None
+            if values is not None:
+                digest = json.dumps(values, separators=(",", ":"))
             label = " ".join(a.replace(config_dir, "{config}") for a in argv)
             print(f"{code} {digest} {label}", flush=True)
     return 0
