@@ -190,30 +190,36 @@ def _values(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (rows @ basis).view(complex)
 
 
-def _ratio(num, den, x: np.ndarray):
-    """complex_response at the points x for ascending coefficients, without numpy warnings.
+def complex_response(tf: TransferFunction, freqs: np.ndarray):
+    """Complex response at each frequency (Hz) and the mask of pole hits,
+    without numpy warnings.
 
-    The shorter polynomial is padded with zeros, so where a power of x
-    overflows, as it can far up a continuous sweep, its value is nan.
+    A continuous system is evaluated at x = j*2*pi*f, a discrete one at
+    exp(j*2*pi*f*dt), which must lie below Nyquist.  Both coefficient rows
+    are padded with zeros to one length.  Where |den| is below
+    lti.POLE_HIT_TOL the point is flagged and its value is num/1.  Far up
+    a continuous sweep a power of x overflows and the value is not finite;
+    there both rows, reversed, are evaluated again at w = 1/x, built as
+    -j/(2*pi*f) so that it stays finite where 2*pi*f overflows, since
+    num(x)/den(x) is the ratio of the reversed rows at w.  A point takes
+    that value only where it is finite.
     """
+    num, den = tf.num.coeffs, tf.den.coeffs
     n = max(len(num), len(den))
     rows = np.zeros((2, n))
     rows[0, :len(den)] = den
     rows[1, :len(num)] = num
     with np.errstate(all="ignore"):
-        denv, numv = _values(rows, _basis(x, n))
+        denv, numv = _values(rows, _basis(_points(freqs, tf.dt), n))
         hit = np.abs(denv) < POLE_HIT_TOL
-        return numv / np.where(hit, 1.0, denv), hit
-
-
-def complex_response(tf: TransferFunction, freqs: np.ndarray):
-    """Complex response at each frequency (Hz) and the mask of pole hits.
-
-    A continuous system is evaluated at j*2*pi*f, a discrete one at
-    exp(j*2*pi*f*dt), which must lie below Nyquist.  Where |den| is below
-    lti.POLE_HIT_TOL the point is flagged and its value is num/1.
-    """
-    return _ratio(tf.num.coeffs, tf.den.coeffs, _points(freqs, tf.dt))
+        h = numv / np.where(hit, 1.0, denv)
+        redo = ~(hit | np.isfinite(h))
+        if tf.dt is None and redo.any():
+            w = (-0.5j / math.pi) / freqs[redo]
+            denw, numw = _values(np.ascontiguousarray(rows[:, ::-1]), _basis(w, n))
+            again = numw / denw
+            h[redo] = np.where(np.isfinite(again), again, h[redo])
+    return h, hit
 
 
 def _mag_db(h: np.ndarray, hit: np.ndarray) -> np.ndarray:
@@ -252,10 +258,11 @@ def magnitude_error_curve(
     if not discrete.is_discrete:
         raise DomainError("second argument must be a discrete system")
     freqs = grid.as_array()
-    mag_a, _, hit_a = _response_arrays(analog, freqs)
-    mag_d, _, hit_d = _response_arrays(discrete, freqs)
+    h_a, hit_a = complex_response(analog, freqs)
+    h_d, hit_d = complex_response(discrete, freqs)
     keep = ~(hit_a | hit_d)
-    return list(zip(freqs[keep].tolist(), (mag_a[keep] - mag_d[keep]).tolist()))
+    errors = _mag_db(h_a, hit_a)[keep] - _mag_db(h_d, hit_d)[keep]
+    return list(zip(freqs[keep].tolist(), errors.tolist()))
 
 
 def rmse(errors) -> float:

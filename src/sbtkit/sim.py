@@ -1,14 +1,15 @@
 """Time-domain execution: difference equations, steady-state sine
 measurements, spectral distortion, and the grid-tied inverter loop.
 
-Both runners simulate every sample.  A linear system whose powers are
-shown to decay runs as a block state-space recursion in numpy: matrix
-products over all blocks of BLOCK samples at once, and for the block-edge
-states a scan of about log2(blocks) levels where it costs less than one
-step per block.  Any other system (every one with spectral radius at
-least one), and any run whose output, block-edge state or final state
-leaves OVERFLOW_GUARD, runs the per-step loop from sample 0, which raises
-the overflow error at the exact step.
+Both runners simulate every sample of a linear system with one output
+row.  A system whose powers are shown to decay runs as a block
+state-space recursion in numpy: matrix products over all blocks of BLOCK
+samples at once, and for the block-edge states a scan of about
+log2(blocks) levels where it costs less than one step per block.  Any
+other system (every one with spectral radius at least one), and any run
+whose output, block-edge state or final state leaves OVERFLOW_GUARD,
+runs the per-step loop from sample 0, which raises the overflow error at
+the exact step.
 
 The inverter model is the average model of an L-filtered bridge: the
 controller runs at the control rate, its output voltage command is
@@ -144,9 +145,10 @@ def _toeplitz_index(K: int) -> np.ndarray:
 
 def _block_lti(A, B, C, D, inputs):
     """Response of s[n+1] = A s[n] + B u[n], y[n] = C s[n] + D u[n] from
-    s[0] = 0 to the input rows u, in blocks of K = BLOCK samples.
+    s[0] = 0 to the input rows u, in blocks of K = BLOCK samples.  The
+    system has one output: C is (1, ns) and D is (1, inputs).
 
-    Inside a block that starts in state s0, the outputs are C A^j s0 plus
+    Inside a block that starts in state s0, the output is C A^j s0 plus
     each input convolved with the Markov parameters D, CB, CAB, ...; the
     state after the block is A^K s0 plus the inputs weighted by
     A^(K-1-j) B (Burrus, "Block realization of digital filters", 1972).
@@ -168,14 +170,13 @@ def _block_lti(A, B, C, D, inputs):
     scan and edge loop alike, outputs agree with it within 1e-12 of the
     signal peak (the README gives a longer run where both drift further).
 
-    Returns the output rows, or None when the per-step loop must run
-    instead: A^K, the power the products need anyway, is not shown to
-    decay (spectral radius >= 1, or no halving within A^(K*2^20)), or an
+    Returns [y], the one output row, or None when the per-step loop must
+    run instead: A^K, the power the products need anyway, is not shown to
+    decay (spectral radius >= 1, or no halving within A^(K*2^20)), or the
     output, a block-edge state or the state after the last sample is not
     finite and below OVERFLOW_GUARD.
     """
     ns, m = B.shape
-    p = C.shape[0]
     total = len(inputs[0])
     with np.errstate(all="ignore"):
         K = min(BLOCK, total)
@@ -186,14 +187,14 @@ def _block_lti(A, B, C, D, inputs):
             powers[k + 1] = powers[k] @ A
         if not _decays(powers[K]):
             return None
-        state_out = (C @ powers[:K]).transpose(1, 0, 2)  # [o, j] = row o of C A^j
+        state_out = (C @ powers[:K])[:, 0]  # [j] = C A^j
         weights = (powers[K - 1 :: -1] @ B).transpose(2, 0, 1)  # [i, j] = A^(K-1-j) B_i
         # the Markov parameters D, CB, CAB, ... after K - 1 zeros
-        markov = np.zeros((p, m, 2 * K - 1))
-        markov[:, :, K - 1] = D
-        markov[:, :, K:] = (state_out[:, : K - 1] @ B).transpose(0, 2, 1)
-        # [o, i, j, k] = Markov parameter k - j, 0 for k < j: a row of inputs times it is their convolution
-        toeplitz = np.take(markov, _toeplitz_index(K), axis=2)
+        markov = np.zeros((m, 2 * K - 1))
+        markov[:, K - 1] = D[0]
+        markov[:, K:] = (state_out[: K - 1] @ B).T
+        # [i, j, k] = Markov parameter k - j, 0 for k < j: a row of inputs times it is their convolution
+        toeplitz = np.take(markov, _toeplitz_index(K), axis=1)
         blocks = [row[: nb * K].reshape(nb, K) for row in inputs]
 
         edges = np.zeros((nb + 1, ns))  # the state before each whole block, and after the last
@@ -220,21 +221,18 @@ def _block_lti(A, B, C, D, inputs):
             s = powers[tail] @ s + sum(u @ w[K - tail :] for u, w in zip(rest, weights))
         if not (_within_guard(edges) and _within_guard(s)):
             return None
-        # one array per output row, as the per-step loops allocate them:
-        # malloc reuses freed arrays of that size, so peak memory stays put
-        y = [np.empty(total) for _ in range(p)]
-        for o, out in enumerate(y):
-            whole = out[: nb * K].reshape(nb, K)  # a view: the products write in place
-            np.matmul(edges[:nb], state_out[o].T, out=whole)
-            for i in range(m):
-                whole += blocks[i] @ toeplitz[o, i]
-            if tail:
-                out[nb * K :] = state_out[o, :tail] @ edges[nb] + sum(
-                    u @ toeplitz[o, i, :tail, :tail] for i, u in enumerate(rest)
-                )
-            if not _within_guard(out):
-                return None
-    return y
+        y = np.empty(total)
+        whole = y[: nb * K].reshape(nb, K)  # a view: the products write in place
+        np.matmul(edges[:nb], state_out.T, out=whole)
+        for u, t in zip(blocks, toeplitz):
+            whole += u @ t
+        if tail:
+            y[nb * K :] = state_out[:tail] @ edges[nb] + sum(
+                u @ t[:tail, :tail] for u, t in zip(rest, toeplitz)
+            )
+        if not _within_guard(y):
+            return None
+    return [y]
 
 
 def _legs_system(legs):

@@ -7,6 +7,7 @@ cases (unequal degrees, constants, one point, pole hits) against the
 pointwise TransferFunction.__call__.
 """
 
+import json
 import math
 import random
 
@@ -120,3 +121,28 @@ def test_one_product_evaluates_every_row():
     assert got.shape == (3, 2)
     want = [[Polynomial(r)(v) for v in x.tolist()] for r in rows]
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.filterwarnings("error")
+def test_continuous_response_past_a_power_overflow_reads_the_reversed_rows(capsys):
+    # x**2 of x = j*2*pi*f overflows above about 2e153 Hz, and 2*pi*f itself at 1e308;
+    # there |H| of the analog board is 2*kr*wc/(2*pi*f), still a finite double
+    from sbtkit import cli
+
+    assert cli.main(["bode", "--grid", "1:1e308:5:log", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)[2:]
+    assert [r["f_hz"] for r in rows] == [1e154, 1e231, 1e308]
+    for r in rows:
+        want = 2.0 * 59.1 * 17.907 / (2.0 * math.pi) / r["f_hz"]
+        assert abs(10.0 ** (r["mag_db"] / 20.0) - want) <= 1e-12 * want
+        assert r["phase_deg"] == -90.0
+
+
+def test_reversed_rows_keep_a_value_that_is_not_finite():
+    # an improper analog response really overflows, and a discrete one is never evaluated again
+    freqs = np.array([1e10, 1e200])
+    h, hit = complex_response(TransferFunction([1.0, 0.0, 0.0, 1.0], [1.0, 1.0], None), freqs)
+    assert np.isfinite(h[0]) and not np.isfinite(h[1]) and not hit.any()
+    # num overflows near z = 1; at w = -j/(2*pi*f) the reversed rows would give a finite value
+    h, hit = complex_response(TransferFunction([1e308, 1e308], [2.0, 1.0], T), np.array([10.0]))
+    assert not np.isfinite(h[0]) and not hit[0]

@@ -562,6 +562,20 @@ def test_closed_loop_output_is_the_inductor_row_of_the_next_state(delay):
     assert np.array_equal(C[0], A[-1]) and np.array_equal(D[0], B[-1])
 
 
+@pytest.mark.parametrize("legs", [[board_coeffs(TustinPrewarp())], inverter_legs(TustinPrewarp())],
+                         ids=["one-leg", "two-legs"])
+def test_legs_output_is_the_sum_of_the_legs_y1_rows(legs):
+    # the block runner computes one output row; this is that row for the board
+    A, B, C, D = sim._legs_system(legs)
+    assert len(legs) == len(A) // 2 - 1
+    assert C.shape == (1, len(A)) and D.shape == (1, 1)
+    rows = np.hstack([A, B])
+    want = np.zeros(rows.shape[1])
+    for j in range(len(legs)):
+        want += rows[2 + 2 * j]
+    assert np.array_equal(np.hstack([C, D])[0], want)
+
+
 def test_block_route_starts_the_grid_current_at_zero():
     cfg = InverterConfig(duration=0.4)
     legs = inverter_legs(Sbt(SbtParams(0.5, 1.0)))
