@@ -238,9 +238,9 @@ def cmd_bode(args) -> int:
     ((_, biq),) = _designs(args, p, T, extra=("analog",), one=True)
     tf = controllers.qr_continuous(p) if biq is None else biq.to_transfer(T)
     mag_db, phase, _ = analysis._response_arrays(tf, grid.as_array())
-    keys = ["f_hz", "mag_db", "phase_deg"]
-    rows = [dict(zip(keys, r)) for r in zip(grid.points, mag_db.tolist(), phase.tolist())]
-    return _emit(args, rows, keys)
+    rows = [{"f_hz": f, "mag_db": m, "phase_deg": ph}
+            for f, m, ph in zip(grid.points, mag_db.tolist(), phase.tolist())]
+    return _emit(args, rows, ["f_hz", "mag_db", "phase_deg"])
 
 
 def cmd_error(args) -> int:
@@ -358,9 +358,7 @@ def cmd_optimize(args) -> int:
     res = tuning.optimize_alpha_beta(p, T, loss_cfg, search)
     writes = []
     if args.trace:
-        rows = ((e.stage, e.alpha, e.beta, e.loss, e.best_loss) for e in res.trace)
-        header = ("stage", "alpha", "beta", "loss", "best_loss")
-        writes.append((args.trace, functools.partial(sim.csv_text, header, rows)))
+        writes.append((args.trace, functools.partial(sim.csv_text, tuning.TraceEntry._fields, res.trace)))
     summary = {
         "alpha": res.alpha,
         "beta": res.beta,

@@ -65,6 +65,14 @@ def _warn_unstable_alpha(alpha: float) -> None:
         warnings.warn(msg, StabilityRangeWarning, stacklevel=3)
 
 
+def _check_sbt(alpha, beta) -> None:
+    """The one rule for a map's parameters: alpha a real number in [0, 1],
+    beta positive and finite.  SbtParams and the search loss both call it."""
+    if not (isinstance(alpha, _REAL) and 0.0 <= alpha <= 1.0):
+        raise ParamError(f"alpha must lie in [0, 1], got {alpha!r}")
+    _check_positive("beta", beta)
+
+
 @dataclass(frozen=True)
 class SbtParams:
     """Shape factor alpha in [0, 1] and time factor beta > 0."""
@@ -73,9 +81,7 @@ class SbtParams:
     beta: float
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, _REAL) and 0.0 <= self.alpha <= 1.0):
-            raise ParamError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        _check_positive("beta", self.beta)
+        _check_sbt(self.alpha, self.beta)
 
     def in_stable_range(self) -> bool:
         """True when every stable s-plane pole maps inside the unit circle."""

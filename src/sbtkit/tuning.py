@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,14 @@ from .analysis import (
 from .controllers import QrParams, _qr_column, qr_continuous, sbt_params_straightforward, upper_pole
 from .errors import DomainError, ParamError, UnstableWarning
 from .lti import POLE_HIT_TOL, _check_positive
-from .transforms import STABLE_ALPHA_MIN, SbtParams, _warn_unstable_alpha, equivalent_s_from_z, z_from_s
+from .transforms import (
+    STABLE_ALPHA_MIN,
+    SbtParams,
+    _check_sbt,
+    _warn_unstable_alpha,
+    equivalent_s_from_z,
+    z_from_s,
+)
 
 __all__ = [
     "LossConfig",
@@ -69,8 +77,9 @@ class LossConfig:
                 raise ParamError(
                     f"{len(w)} weights for a {len(self.grid)}-point grid"
                 )
-            if any(x < 0 for x in w) or sum(w) <= 0:
-                raise ParamError("weights must be non-negative with positive sum")
+            # a nan or inf weight, or a sum that overflows, makes every loss nan
+            if not (all(0.0 <= x < math.inf for x in w) and 0.0 < sum(w) < math.inf):
+                raise ParamError("weights must be finite and non-negative with a finite, positive sum")
             object.__setattr__(self, "weights", w)
 
 
@@ -100,8 +109,9 @@ class SearchConfig:
             raise ParamError(f"search of {n} evaluations exceeds MAX_EVALUATIONS = {MAX_EVALUATIONS}")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
+    """One evaluation of the search: its stage, the pair, its loss and the best loss so far."""
+
     stage: str
     alpha: float
     beta: float
@@ -136,13 +146,42 @@ _default_loss = lru_cache(maxsize=1)(LossConfig)  # one default, so it keeps its
 def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | None = None) -> float:
     """Scalar discretization quality loss at one (alpha, beta) pair.
 
-    Validates like qr_discretize (SbtParams, the sample period, the
-    StabilityRangeWarning below alpha 0.5), then takes the six coefficients
-    straight from controllers._qr_column, so no dataclass is built per
-    evaluation.  Emits UnstableWarning when the monic denominator
-    z^2 + c1*z + c0 fails the Schur-Cohn test |c0| <= 1, |c1| <= 1 + c0
-    (possible only for alpha below 0.5).  No roots are computed here, so
-    quadratic_roots and its residual check run only in pole_map_table.
+    Validates like qr_discretize (the alpha/beta rule of SbtParams,
+    transforms._check_sbt, the sample period, the StabilityRangeWarning
+    below alpha 0.5), then takes the six coefficients straight from
+    controllers._qr_column, so no object is built per evaluation; only the
+    pole_distance loss builds an SbtParams, for z_from_s.  Emits
+    UnstableWarning when the monic denominator z^2 + c1*z + c0 fails the
+    Schur-Cohn test |c0| <= 1, |c1| <= 1 + c0 (possible only for alpha
+    below 0.5).  No roots are computed here, so quadratic_roots and its
+    residual check run only in pole_map_table.
+
+    The magnitude losses run in _mag_loss, whose errstate decorator is the
+    one numpy error scope of an evaluation.
+    """
+    if cfg is None:
+        cfg = _default_loss()
+    _check_sbt(alpha, beta)
+    _check_positive("sample period", T)
+    _warn_unstable_alpha(alpha)
+    a2, a1, a0, b2, b1, b0 = _qr_column(p, alpha, beta, beta, T)
+    c0, c1 = b0 / b2, b1 / b2
+    if not (abs(c0) <= 1.0 and abs(c1) <= 1.0 + c0):
+        warnings.warn(f"discrete poles outside the unit disk for alpha={alpha}, beta={beta}",
+                      UnstableWarning, stacklevel=2)
+    if cfg.loss_kind == "pole_distance":
+        original = upper_pole(p)
+        eq = equivalent_s_from_z(z_from_s(original, SbtParams(alpha, beta), T), T)
+        return abs(eq - original) / p.omega_n
+    basis, ref, w = _context(p, T, cfg)
+    return _mag_loss(((b0, b1, b2), (a0, a1, a2)), c0, c1, basis, ref, w, cfg.loss_kind == "mag_rmse_db")
+
+
+@np.errstate(all="ignore")
+def _mag_loss(rows, c0, c1, basis, ref, w, db) -> float:
+    """RMS error (weighted by w when given) of the biquad's magnitude against
+    ref over the grid of basis, in dB when db is set; rows are ((b0, b1, b2),
+    (a0, a1, a2)) and c0, c1 the monic denominator's b0/b2 and b1/b2.
 
     The response goes through analysis._values, complex_response's one
     product, on the cached power basis of the grid (num/1 at pole hits,
@@ -153,49 +192,34 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
     the product's rounding, no grid point is a hit.  Real poles, poles near
     the circle and nan coefficients always build it.
     """
-    if cfg is None:
-        cfg = _default_loss()
-    params = SbtParams(alpha, beta)
-    _check_positive("sample period", T)
-    _warn_unstable_alpha(alpha)
-    a2, a1, a0, b2, b1, b0 = _qr_column(p, alpha, beta, beta, T)
-    c0, c1 = b0 / b2, b1 / b2
-    if not (abs(c0) <= 1.0 and abs(c1) <= 1.0 + c0):
-        warnings.warn(f"discrete poles outside the unit disk for alpha={alpha}, beta={beta}",
-                      UnstableWarning, stacklevel=2)
-    if cfg.loss_kind == "pole_distance":
-        original = upper_pole(p)
-        eq = equivalent_s_from_z(z_from_s(original, params, T), T)
-        return abs(eq - original) / p.omega_n
-
-    basis, ref, w = _context(p, T, cfg)
-    with np.errstate(all="ignore"):
-        den, num = _values(np.array([[b0, b1, b2], [a0, a1, a2]]), basis)
-        # for complex poles |den| >= b2*(1 - sqrt(c0))^2 on |z| = 1: when that
-        # clears POLE_HIT_TOL past the product's rounding, no grid point is a hit
-        gap = 1.0 - math.sqrt(c0) if c1 * c1 < 4.0 * c0 else 0.0
-        hit = None
-        if not abs(b2) * gap * gap > POLE_HIT_TOL + 1e-12 * (abs(b2) + abs(b1) + abs(b0)):
-            hit = np.abs(den) < POLE_HIT_TOL
-            den[hit] = 1.0  # num/1 at a pole hit, as complex_response
-        num /= den
-        mag = np.abs(num)
-        if cfg.loss_kind == "mag_rmse_db":
-            np.log10(mag, out=mag)
-            mag *= 20.0
-            if hit is not None:
-                mag[hit] = np.inf
-        err = ref - mag
-        if w is not None:
-            return math.sqrt(np.add.reduce(w * err * err) / np.add.reduce(w))
-        err *= err
-        return math.sqrt(np.add.reduce(err) / err.size)
+    b0, b1, b2 = rows[0]
+    den, num = _values(np.array(rows), basis)
+    # for complex poles |den| >= b2*(1 - sqrt(c0))^2 on |z| = 1: when that
+    # clears POLE_HIT_TOL past the product's rounding, no grid point is a hit
+    gap = 1.0 - math.sqrt(c0) if c1 * c1 < 4.0 * c0 else 0.0
+    hit = None
+    if not abs(b2) * gap * gap > POLE_HIT_TOL + 1e-12 * (abs(b2) + abs(b1) + abs(b0)):
+        hit = np.abs(den) < POLE_HIT_TOL
+        den[hit] = 1.0  # num/1 at a pole hit, as complex_response
+    num /= den
+    mag = np.abs(num)
+    if db:
+        np.log10(mag, out=mag)
+        mag *= 20.0
+        if hit is not None:
+            mag[hit] = np.inf
+    err = np.subtract(ref, mag, out=mag)
+    if w is not None:
+        return math.sqrt(np.add.reduce(w * err * err) / np.add.reduce(w))
+    err *= err
+    return math.sqrt(np.add.reduce(err) / err.size)
 
 
-def _axis_points(lo: float, hi: float, n: int) -> np.ndarray:
+def _axis_points(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced floats from lo to hi inclusive, or [lo] when hi == lo."""
     if hi == lo:
-        return np.asarray([lo])
-    return np.linspace(lo, hi, n)
+        return [float(lo)]
+    return np.linspace(lo, hi, n).tolist()
 
 
 def _golden_step(lo: float, hi: float, f) -> tuple[float, float, float]:
@@ -229,13 +253,15 @@ def optimize_alpha_beta(
         search_cfg = SearchConfig()
 
     trace: list[TraceEntry] = []
-    best: dict = {"alpha": None, "beta": None, "loss": math.inf}
+    best_alpha = best_beta = None
+    best_loss = math.inf
 
     def evaluate(stage: str, a: float, b: float) -> float:
+        nonlocal best_alpha, best_beta, best_loss
         val = q_loss(a, b, p, T, loss_cfg)
-        if val < best["loss"]:
-            best.update(alpha=a, beta=b, loss=val)
-        trace.append(TraceEntry(stage, a, b, val, best["loss"]))
+        if val < best_loss:
+            best_alpha, best_beta, best_loss = a, b, val
+        trace.append(TraceEntry(stage, a, b, val, best_loss))
         return val
 
     sf = sbt_params_straightforward(p, T)
@@ -250,18 +276,18 @@ def optimize_alpha_beta(
     best_cell_loss = math.inf
     for i, a in enumerate(alphas):
         for j, b in enumerate(betas):
-            val = evaluate("coarse", float(a), float(b))
+            val = evaluate("coarse", a, b)
             if val < best_cell_loss:
                 best_cell_loss = val
                 best_cell = (i, j)
 
     i, j = best_cell
-    a_left = float(alphas[max(i - 1, 0)])
-    a_right = float(alphas[min(i + 1, len(alphas) - 1)])
-    b_left = float(betas[max(j - 1, 0)])
-    b_right = float(betas[min(j + 1, len(betas) - 1)])
-    cur_a = float(alphas[i])
-    cur_b = float(betas[j])
+    a_left = alphas[max(i - 1, 0)]
+    a_right = alphas[min(i + 1, len(alphas) - 1)]
+    b_left = betas[max(j - 1, 0)]
+    b_right = betas[min(j + 1, len(betas) - 1)]
+    cur_a = alphas[i]
+    cur_b = betas[j]
 
     for _ in range(search_cfg.refine_iters):
         if a_right > a_left:
@@ -273,12 +299,12 @@ def optimize_alpha_beta(
                 b_left, b_right, lambda b: evaluate("refine-beta", cur_a, b)
             )
 
-    if best["alpha"] is None:
+    if best_alpha is None:
         raise DomainError("no (alpha, beta) in the box gives a finite loss")
     return OptimizeResult(
-        alpha=best["alpha"],
-        beta=best["beta"],
-        loss_value=best["loss"],
+        alpha=best_alpha,
+        beta=best_beta,
+        loss_value=best_loss,
         straightforward=sf,
         straightforward_loss=sf_loss,
         trace=tuple(trace),
