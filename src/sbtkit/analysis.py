@@ -106,8 +106,10 @@ class FrequencyGrid:
         return cls(tuple(points), "explicit")
 
     def merged_with(self, other: "FrequencyGrid") -> "FrequencyGrid":
-        pts = np.unique(np.concatenate([self.as_array(), other.as_array()]))
-        return FrequencyGrid(tuple(pts), "explicit")
+        # sort and drop equal neighbours: np.unique's result, without the
+        # numpy.ma import that np.unique makes
+        pts = np.sort(np.concatenate([self.as_array(), other.as_array()]))
+        return FrequencyGrid(tuple(pts[np.r_[True, pts[1:] != pts[:-1]]]), "explicit")
 
 
 @functools.cache  # a FrequencyGrid is immutable, so every call may share one

@@ -52,23 +52,37 @@ def _json_safe(value):
     return value
 
 
+# Rows per C-encoder pass in _rows_json: each pass, and each rewrite of its
+# text, holds one chunk of the output rather than the whole of it.
+JSON_CHUNK_ROWS = 256
+
+_ROW_BOUNDARY = "\n  },\n  {\n    "
+
+
 def _rows_json(rows: list) -> str:
     """json.dumps(_json_safe(rows), indent=2) for a list of flat, non-empty dicts.
 
-    An indent forces the pure-Python encoder, so the rows go through the C
-    encoder in one pass, with the indented item separator between fields
-    and between rows, and only the row boundaries are rewritten.  A raw
-    newline never occurs inside an encoded string, so "},\\n    {" is
-    always a row boundary.  Non-finite numbers fail allow_nan and take
-    the _json_safe walk.
+    An indent forces the pure-Python encoder, so each chunk of
+    JSON_CHUNK_ROWS rows goes through the C encoder in one pass, with the
+    indented item separator between fields and between rows, and only the
+    row boundaries are rewritten.  A raw newline never occurs inside an
+    encoded string, so "},\\n    {" is always a row boundary.  A chunk holding
+    a non-finite number fails allow_nan and takes the _json_safe walk.  The
+    chunks are joined once, with the row boundary between them.
     """
     if not rows:
         return "[]"
-    try:
-        flat = json.dumps(rows, separators=(",\n    ", ": "), allow_nan=False)
-    except ValueError:
-        flat = json.dumps(_json_safe(rows), separators=(",\n    ", ": "))
-    return "[\n  {\n    " + flat[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+    parts = []
+    for start in range(0, len(rows), JSON_CHUNK_ROWS):
+        chunk = rows[start:start + JSON_CHUNK_ROWS]
+        try:
+            flat = json.dumps(chunk, separators=(",\n    ", ": "), allow_nan=False)
+        except ValueError:
+            flat = json.dumps(_json_safe(chunk), separators=(",\n    ", ": "))
+        parts.append(flat[2:-2].replace("},\n    {", _ROW_BOUNDARY))
+    parts[0] = "[\n  {\n    " + parts[0]
+    parts[-1] += "\n  }\n]"
+    return _ROW_BOUNDARY.join(parts)
 
 
 def _emit(args, rows, keys, table=None, payload=None, writes=()) -> int:
@@ -78,26 +92,27 @@ def _emit(args, rows, keys, table=None, payload=None, writes=()) -> int:
     before any is renamed into place (sim.write_atomic), so a failure to
     write one leaves none.  json is the rows, or payload when given; csv is
     a header of keys and a line per row; table is the given lines, csv
-    when there are none."""
+    when there are none.  The result is written as pieces (its text, then
+    its final newline), so it is never copied whole once it is built."""
     if args.format == "json":
-        text = (_rows_json(rows) if payload is None
-                else json.dumps(_json_safe(payload), indent=2)) + "\n"
+        pieces = (_rows_json(rows) if payload is None
+                  else json.dumps(_json_safe(payload), indent=2), "\n")
     elif args.format == "table" and table is not None:
-        text = "\n".join(table) + "\n"
+        pieces = ("\n".join(table), "\n")
     else:
-        text = sim.csv_text(keys, ([r[k] for k in keys] for r in rows))
+        pieces = (sim.csv_text(keys, ([r[k] for k in keys] for r in rows)),)
     if getattr(args, "trace_dir", None):
         os.makedirs(args.trace_dir, exist_ok=True)
 
     def files():  # each text is made just before it is staged, so one is held at a time
         for path, render in writes:
-            yield path, render()
+            yield path, (render(),)
         if args.output is not None:
-            yield args.output, text
+            yield args.output, pieces
 
     sim.write_atomic(files())
     if args.output is None:
-        sys.stdout.write(text)
+        sim.write_pieces(sys.stdout, pieces)
     return 0
 
 

@@ -64,6 +64,8 @@ BLOCK = 64
 MAX_SAMPLES = 2**22
 # longest bridge delay line; the loop's state matrix grows as its square
 MAX_DELAY_SAMPLES = 256
+# most characters one write of write_pieces hands its text stream
+WRITE_SLICE = 2**16
 # whether np.longdouble is the x87 80-bit format, the one the block-edge scan
 # was checked and timed on: the scan squares its step in long double, since
 # squarings in double compound their rounding (1e-9 of the peak apart from the
@@ -598,24 +600,34 @@ def csv_text(keys, rows) -> str:
         ",".join(v if isinstance(v, str) else "" if v is None else format(v, ".17g") for v in row)
         for row in rows
     ]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the joined text
+    return "\n".join(lines)
+
+
+def write_pieces(fh, pieces) -> None:
+    """Write each string of pieces to the text stream fh, in order, in
+    slices of at most WRITE_SLICE characters: a text stream encodes each
+    write whole, so no write makes an encoded copy of a long piece."""
+    for piece in pieces:
+        for start in range(0, len(piece), WRITE_SLICE):
+            fh.write(piece[start:start + WRITE_SLICE])
 
 
 def write_atomic(files) -> None:
-    """Write each (path, text) pair in two phases: stage every text in a new
-    temporary sibling of its path, then, once all are staged, rename each
-    over its target.  files may be a generator, so each text can be made
-    just before it is staged.  On a failure every temporary still present
-    is removed, so a failure while staging leaves no file, and an OSError
-    names the target it was for."""
+    """Write each (path, pieces) pair in two phases: stage the strings of
+    pieces, in order, in a new temporary sibling of its path, then, once all
+    are staged, rename each over its target.  files may be a generator, so
+    each text can be made just before it is staged.  On a failure every
+    temporary still present is removed, so a failure while staging leaves
+    no file, and an OSError names the target it was for."""
     staged = []
     path = None
     try:
-        for path, text in files:
+        for path, pieces in files:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
             staged.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                write_pieces(fh, pieces)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException as exc:
@@ -636,4 +648,4 @@ def _trace_csv_text(trace: SimTrace) -> str:
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """Write t,i_grid,v_grid,v_inv rows at full precision, atomically."""
-    write_atomic([(path, _trace_csv_text(trace))])
+    write_atomic([(path, (_trace_csv_text(trace),))])

@@ -133,11 +133,16 @@ class OptimizeResult:
 def _context(p: QrParams, T: float, cfg: LossConfig):
     """What the magnitude losses of one search share: the 3-row analysis._basis
     of z = exp(j*2*pi*f*T) over the grid, the analog reference (in dB for
-    mag_rmse_db) and the weights."""
+    mag_rmse_db) and the weights, scaled by the power of two that brings
+    the largest into [0.5, 1).  A power of two scales every product and sum
+    of _mag_loss exactly, short of overflow and underflow, so the loss keeps
+    its bits, and w * err * err no longer overflows on weights that are
+    merely large."""
     freqs = cfg.grid.as_array()
     h, hit = complex_response(qr_continuous(p), freqs)
     ref = _mag_db(h, hit) if cfg.loss_kind == "mag_rmse_db" else np.abs(h)
-    return _basis(_points(freqs, T), 3), ref, None if cfg.weights is None else np.asarray(cfg.weights)
+    w = None if cfg.weights is None else np.ldexp(cfg.weights, -math.frexp(max(cfg.weights))[1])
+    return _basis(_points(freqs, T), 3), ref, w
 
 
 _default_loss = lru_cache(maxsize=1)(LossConfig)  # one default, so it keeps its _context entry
