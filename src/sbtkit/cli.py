@@ -93,7 +93,7 @@ def _emit(args, rows, keys, table=None, payload=None, writes=()) -> int:
     write one leaves none.  json is the rows, or payload when given; csv is
     a header of keys and a line per row; table is the given lines, csv
     when there are none.  The result is written as pieces (its text, then
-    its final newline), so it is never copied whole once it is built."""
+    its final newline), so the newline does not copy the text."""
     if args.format == "json":
         pieces = (_rows_json(rows) if payload is None
                   else json.dumps(_json_safe(payload), indent=2), "\n")
@@ -112,7 +112,7 @@ def _emit(args, rows, keys, table=None, payload=None, writes=()) -> int:
 
     sim.write_atomic(files())
     if args.output is None:
-        sim.write_pieces(sys.stdout, pieces)
+        sys.stdout.writelines(pieces)
     return 0
 
 

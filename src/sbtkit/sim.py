@@ -64,8 +64,6 @@ BLOCK = 64
 MAX_SAMPLES = 2**22
 # longest bridge delay line; the loop's state matrix grows as its square
 MAX_DELAY_SAMPLES = 256
-# most characters one write of write_pieces hands its text stream
-WRITE_SLICE = 2**16
 # whether np.longdouble is the x87 80-bit format, the one the block-edge scan
 # was checked and timed on: the scan squares its step in long double, since
 # squarings in double compound their rounding (1e-9 of the peak apart from the
@@ -604,15 +602,6 @@ def csv_text(keys, rows) -> str:
     return "\n".join(lines)
 
 
-def write_pieces(fh, pieces) -> None:
-    """Write each string of pieces to the text stream fh, in order, in
-    slices of at most WRITE_SLICE characters: a text stream encodes each
-    write whole, so no write makes an encoded copy of a long piece."""
-    for piece in pieces:
-        for start in range(0, len(piece), WRITE_SLICE):
-            fh.write(piece[start:start + WRITE_SLICE])
-
-
 def write_atomic(files) -> None:
     """Write each (path, pieces) pair in two phases: stage the strings of
     pieces, in order, in a new temporary sibling of its path, then, once all
@@ -627,7 +616,7 @@ def write_atomic(files) -> None:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
             staged.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                write_pieces(fh, pieces)
+                fh.writelines(pieces)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException as exc:

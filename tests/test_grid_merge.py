@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sbtkit
-from sbtkit import FrequencyGrid, default_bode_grid
+from sbtkit import FrequencyGrid, cli, default_bode_grid
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sbtkit.__file__)))
 
@@ -47,6 +47,7 @@ def test_bode_path_does_not_import_numpy_ma(tmp_path):
         "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop(cli.GRID_ENV, None)  # bode on the default grid, the one whose merge is checked
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "bode.json")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

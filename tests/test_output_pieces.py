@@ -1,10 +1,10 @@
-"""Output without whole-text copies: chunked json rows and sliced writes.
+"""Output without whole-text copies: chunked json rows and written pieces.
 
 cli._rows_json encodes JSON_CHUNK_ROWS rows per C-encoder pass and joins
 the chunks once; every case compares it byte for byte with
-json.dumps(_json_safe(rows), indent=2).  sim.write_pieces hands a text
-stream at most WRITE_SLICE characters per write, and sim.write_atomic
-stages (path, pieces) pairs through it.
+json.dumps(_json_safe(rows), indent=2).  sim.write_atomic stages
+(path, pieces) pairs, and cli._emit writes its text and final newline as
+two pieces.
 """
 
 import io
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from sbtkit import cli, sim
 
 N = cli.JSON_CHUNK_ROWS
-S = sim.WRITE_SLICE
 
 
 def reference(rows) -> str:
@@ -63,23 +62,8 @@ def test_rows_json_at_small_chunk_sizes(rows, chunk):
         assert cli._rows_json(rows) == reference(rows)
 
 
-class Recorder:
-    def __init__(self):
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-
-
-# multi-byte characters on both sides of every slice boundary
-PIECES = ("x" * (S - 1) + "é\U0001f600" + "ω" * S + "\n", "", "Ω" * (2 * S + 3), "\n")
-
-
-def test_write_pieces_writes_slices_in_order():
-    fh = Recorder()
-    sim.write_pieces(fh, PIECES)
-    assert "".join(fh.writes) == "".join(PIECES)
-    assert max(map(len, fh.writes)) == S
+# long pieces of one-, two-, three- and four-byte characters, and an empty one
+PIECES = ("x" * 70000 + "é\U0001f600" + "ω" * 70000 + "\n", "", "Ω" * 140003, "\n")
 
 
 def test_write_atomic_writes_the_utf8_of_the_joined_pieces(tmp_path):
@@ -107,18 +91,19 @@ def test_an_unwritable_target_leaves_no_file_and_is_named(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_emit_to_stdout_writes_slices(monkeypatch):
-    out = io.StringIO()
+def test_emit_to_stdout_writes_the_text_then_its_newline(monkeypatch):
     writes = []
 
-    class Stdout:
+    class Stdout(io.StringIO):
         def write(self, text):
-            writes.append(len(text))
-            return out.write(text)
+            writes.append(text)
+            return super().write(text)
 
-    monkeypatch.setattr(cli.sys, "stdout", Stdout())
+    out = Stdout()
+    monkeypatch.delenv(cli.GRID_ENV, raising=False)
+    monkeypatch.setattr(cli.sys, "stdout", out)
     assert cli.main(["bode", "--format", "json"]) == 0
+    assert len(writes) == 2 and writes[1] == "\n"
     text = out.getvalue()
-    assert len(text) > 2 * S and text.endswith("}\n]\n")
-    assert max(writes) <= S and len(writes) > 2
+    assert text == writes[0] + "\n" and text.endswith("}\n]\n")
     assert json.loads(text)[0]["f_hz"] == 10.0

@@ -11,11 +11,10 @@ speed spreads over all rows, and one round before them fills the bytecode
 and page caches and is discarded.
 
     python3 tools/cold_cli.py
-    python3 tools/cold_cli.py --runs 15 --blas-threads 1
+    OPENBLAS_NUM_THREADS=1 python3 tools/cold_cli.py --runs 15
 
-``--blas-threads K`` sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS to K in every child; without it the children inherit this
-process's environment.  The package is imported from the ``src`` directory
+The children inherit this process's environment, BLAS thread variables
+included, except for SBT_DEFAULT_GRID, which is cleared.  The package is imported from the ``src`` directory
 next to this script, so running the script of one checkout always measures
 that checkout.  Exit 1 when a child exits with a code other than 0.
 """
@@ -43,7 +42,6 @@ COMMANDS = {
     "simulate board": ("simulate", "board"),
     "simulate inverter": ("simulate", "inverter"),
 }
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_once(argv: list[str], env: dict) -> tuple[float, float, int, str]:
@@ -62,19 +60,13 @@ def run_once(argv: list[str], env: dict) -> tuple[float, float, int, str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", type=int, default=7, help="timed runs per subcommand (default 7)")
-    ap.add_argument("--blas-threads", type=int, default=None,
-                    help="BLAS/OpenMP threads in each child (default: inherited)")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
-    if args.blas_threads is not None and not 1 <= args.blas_threads <= 64:
-        ap.error("--blas-threads must be between 1 and 64")
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.abspath(SRC), env.get("PYTHONPATH")]))
     env.pop("SBT_DEFAULT_GRID", None)
-    if args.blas_threads is not None:
-        env.update(dict.fromkeys(BLAS_VARS, str(args.blas_threads)))
 
     walls = {name: [] for name in ["import", *COMMANDS]}
     rss = {name: [] for name in walls}
@@ -94,8 +86,8 @@ def main(argv=None) -> int:
                     walls[name].append(wall)
                     rss[name].append(peak)
 
-    threads = "inherited" if args.blas_threads is None else args.blas_threads
-    print(f"# {args.runs} runs per row, BLAS threads {threads}, python {sys.version.split()[0]}")
+    threads = env.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"# {args.runs} runs per row, OPENBLAS_NUM_THREADS {threads}, python {sys.version.split()[0]}")
     print(f"{'subcommand':<20}{'median ms':>12}{'max RSS MB':>12}")
     for name in walls:
         if walls[name]:
