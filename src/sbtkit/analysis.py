@@ -188,8 +188,10 @@ def _basis(x: np.ndarray, n: int) -> np.ndarray:
 
 def _values(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Every row of ascending coefficients (a C-contiguous float64 (m, n)
-    array) at every point of an n-row _basis, as one BLAS product: (m, N) complex."""
-    return (rows @ basis).view(complex)
+    array) at every point of an n-row _basis, as one BLAS product: (m, N) complex.
+    np.dot runs the same dgemm as @, with the same bits, without matmul's
+    gufunc dispatch: 1.45 against 1.00 us for the loss's (2, 3) x (3, 400)."""
+    return np.dot(rows, basis).view(complex)
 
 
 def complex_response(tf: TransferFunction, freqs: np.ndarray):

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 
@@ -52,34 +52,54 @@ def _json_safe(value):
     return value
 
 
-# Rows per C-encoder pass in _rows_json: each pass, and each rewrite of its
-# text, holds one chunk of the output rather than the whole of it.
+# Rows per pass in _rows_json: each pass, and each rewrite of its text,
+# holds one chunk of the output rather than the whole of it.
 JSON_CHUNK_ROWS = 256
 
 _ROW_BOUNDARY = "\n  },\n  {\n    "
 
 
+def _chunk_json(chunk: list) -> str:
+    """The rows of chunk as _rows_json writes them, from the first row's first
+    key to the last row's last value.
+
+    When every row has the first row's string keys in its order and every
+    value is a finite float of exact type float, one %r template of the
+    rows renders them: json writes such a value as its repr.  Any other
+    chunk goes through the C encoder in one pass, with the indented item
+    separator between fields and between rows, and only the row boundaries
+    are rewritten.  A raw newline never occurs inside an encoded string, so
+    "},\\n    {" is always a row boundary.  A chunk holding a non-finite
+    number fails allow_nan and takes the _json_safe walk.
+    """
+    keys = list(chunk[0])
+    values = tuple(itertools.chain.from_iterable(map(dict.values, chunk)))
+    # equal key sequences need len(keys) distinct keys per row, in order;
+    # a non-finite value makes the sum non-finite (an overflowing sum only
+    # sends finite rows to the encoder)
+    if ({*map(type, values)} == {float} and math.isfinite(sum(values))
+            and all(type(k) is str for k in keys)
+            and list(itertools.chain.from_iterable(chunk)) == keys * len(chunk)):
+        row = ",\n    ".join(json.dumps(k).replace("%", "%%") + ": %r" for k in keys)
+        return _ROW_BOUNDARY.join([row] * len(chunk)) % values
+    try:
+        flat = json.dumps(chunk, separators=(",\n    ", ": "), allow_nan=False)
+    except ValueError:
+        flat = json.dumps(_json_safe(chunk), separators=(",\n    ", ": "))
+    return flat[2:-2].replace("},\n    {", _ROW_BOUNDARY)
+
+
 def _rows_json(rows: list) -> str:
     """json.dumps(_json_safe(rows), indent=2) for a list of flat, non-empty dicts.
 
-    An indent forces the pure-Python encoder, so each chunk of
-    JSON_CHUNK_ROWS rows goes through the C encoder in one pass, with the
-    indented item separator between fields and between rows, and only the
-    row boundaries are rewritten.  A raw newline never occurs inside an
-    encoded string, so "},\\n    {" is always a row boundary.  A chunk holding
-    a non-finite number fails allow_nan and takes the _json_safe walk.  The
-    chunks are joined once, with the row boundary between them.
+    An indent forces the pure-Python encoder, so the rows are rendered in
+    chunks of JSON_CHUNK_ROWS by _chunk_json, and the chunks are joined
+    once, with the row boundary between them.
     """
     if not rows:
         return "[]"
-    parts = []
-    for start in range(0, len(rows), JSON_CHUNK_ROWS):
-        chunk = rows[start:start + JSON_CHUNK_ROWS]
-        try:
-            flat = json.dumps(chunk, separators=(",\n    ", ": "), allow_nan=False)
-        except ValueError:
-            flat = json.dumps(_json_safe(chunk), separators=(",\n    ", ": "))
-        parts.append(flat[2:-2].replace("},\n    {", _ROW_BOUNDARY))
+    parts = [_chunk_json(rows[start:start + JSON_CHUNK_ROWS])
+             for start in range(0, len(rows), JSON_CHUNK_ROWS)]
     parts[0] = "[\n  {\n    " + parts[0]
     parts[-1] += "\n  }\n]"
     return _ROW_BOUNDARY.join(parts)
@@ -155,7 +175,7 @@ def _discretize(p: controllers.QrParams, m, T: float) -> controllers.BiquadCoeff
     """qr_discretize for a command: a coefficient that overflowed to inf or
     nan raises OverflowError, which main reports as exit 3."""
     biq = controllers.qr_discretize(p, m, T)
-    if not all(math.isfinite(v) for v in asdict(biq).values()):
+    if not all(math.isfinite(v) for v in vars(biq).values()):
         raise OverflowError("a discretized coefficient is not finite")
     return biq
 
@@ -236,9 +256,9 @@ def cmd_discretize(args) -> int:
     p, T = _qr(args)
     rows = []
     for label, biq in _designs(args, p, T):
-        row = {"method": label, **asdict(biq)}
+        row = {"method": label, **vars(biq)}  # the fields in order, not deep-copied
         if args.diffeq:
-            row.update(asdict(controllers.diff_eq_coeffs(biq)))
+            row.update(vars(controllers.diff_eq_coeffs(biq)))
         rows.append(row)
     keys = list(rows[0])
     table = [

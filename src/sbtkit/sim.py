@@ -114,7 +114,7 @@ def _decays(A) -> bool:
     for _ in range(21):
         if np.abs(power).sum(axis=1).max() <= 0.5:
             return True
-        power = power @ power
+        power = np.dot(power, power)
     return False
 
 
@@ -165,7 +165,10 @@ def _block_lti(A, B, C, D, inputs):
     squarings run in long double, so the scan runs only where that is the
     x87 format and _scan_pays finds it cheaper; elsewhere the recursion is
     a loop, one step per block.  A last block shorter than K and the
-    state after the last sample are done on their own.  The sums round
+    state after the last sample are done on their own.  The small 2-D
+    products (the powers of A, _decays' squarings, each scan level) go
+    through np.dot, the same BLAS call as @ without matmul's
+    per-call dispatch; the batched 3-D ones keep @.  The sums round
     in another order than the per-step loop: on the runs the tests check,
     scan and edge loop alike, outputs agree with it within 1e-12 of the
     signal peak (the README gives a longer run where both drift further).
@@ -184,7 +187,7 @@ def _block_lti(A, B, C, D, inputs):
         powers = np.empty((K + 1, ns, ns))  # A^0 .. A^K
         powers[0] = np.eye(ns)
         for k in range(K):
-            powers[k + 1] = powers[k] @ A
+            np.dot(powers[k], A, out=powers[k + 1])
         if not _decays(powers[K]):
             return None
         state_out = (C @ powers[:K])[:, 0]  # [j] = C A^j
@@ -192,6 +195,8 @@ def _block_lti(A, B, C, D, inputs):
         # the Markov parameters D, CB, CAB, ... after K - 1 zeros
         markov = np.zeros((m, 2 * K - 1))
         markov[:, K - 1] = D[0]
+        # @, not np.dot: B is a strided view, and at K = 2 with two inputs np.dot
+        # of its one row with B takes another BLAS route and rounds differently
         markov[:, K:] = (state_out[: K - 1] @ B).T
         # [i, j, k] = Markov parameter k - j, 0 for k < j: a row of inputs times it is their convolution
         toeplitz = np.take(markov, _toeplitz_index(K), axis=1)
@@ -206,7 +211,7 @@ def _block_lti(A, B, C, D, inputs):
             # row holds the drives of the 2*shift blocks up to it, carried by A^K
             step, shift = powers[K].T.astype(np.longdouble), 1
             while shift < nb:
-                after[shift:] += after[:-shift] @ step.astype(float)
+                after[shift:] += np.dot(after[:-shift], step.astype(float))
                 shift *= 2
                 if shift < nb:
                     step = step @ step

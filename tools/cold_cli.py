@@ -7,8 +7,11 @@ to its exit) and the largest peak RSS of the child process (``ru_maxrss``
 from ``os.wait4``).  The ``import`` row is a process that only imports
 ``sbtkit.cli``: the start-up share of every other row.  The rounds are
 interleaved, one run of each subcommand per round, so that drift in host
-speed spreads over all rows, and one round before them fills the bytecode
-and page caches and is discarded.
+speed spreads over all rows, and one round before them, which warms the
+page cache, is discarded.  The header line says whether the children write
+bytecode.  With PYTHONDONTWRITEBYTECODE set (it is inherited) and no
+``__pycache__`` left by an earlier run, every child compiles sbtkit's
+modules again, about half of sbtkit's own import time.
 
     python3 tools/cold_cli.py
     OPENBLAS_NUM_THREADS=1 python3 tools/cold_cli.py --runs 15
@@ -87,7 +90,9 @@ def main(argv=None) -> int:
                     rss[name].append(peak)
 
     threads = env.get("OPENBLAS_NUM_THREADS", "unset")
-    print(f"# {args.runs} runs per row, OPENBLAS_NUM_THREADS {threads}, python {sys.version.split()[0]}")
+    bytecode = "not written" if env.get("PYTHONDONTWRITEBYTECODE") else "written"
+    print(f"# {args.runs} runs per row, OPENBLAS_NUM_THREADS {threads}, bytecode {bytecode}, "
+          f"python {sys.version.split()[0]}")
     print(f"{'subcommand':<20}{'median ms':>12}{'max RSS MB':>12}")
     for name in walls:
         if walls[name]:
