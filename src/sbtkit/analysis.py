@@ -256,7 +256,9 @@ def magnitude_error_curve(
     analog: TransferFunction, discrete: TransferFunction, grid: FrequencyGrid
 ) -> list[tuple[float, float]]:
     """Pointwise (frequency, analog_db - discrete_db).  Positive error means
-    the discretized controller under-responds.  Pole-hit points are dropped."""
+    the discretized controller under-responds.  Pole-hit points are dropped.
+    An error that is not finite (a magnitude that overflowed, or two that
+    underflowed to -inf dB) raises DomainError naming its frequency."""
     if analog.is_discrete:
         raise DomainError("first argument must be the continuous reference")
     if not discrete.is_discrete:
@@ -265,8 +267,13 @@ def magnitude_error_curve(
     h_a, hit_a = complex_response(analog, freqs)
     h_d, hit_d = complex_response(discrete, freqs)
     keep = ~(hit_a | hit_d)
-    errors = _mag_db(h_a, hit_a)[keep] - _mag_db(h_d, hit_d)[keep]
-    return list(zip(freqs[keep].tolist(), errors.tolist()))
+    freqs = freqs[keep]
+    with np.errstate(invalid="ignore"):  # -inf minus -inf is nan, raised below
+        errors = _mag_db(h_a, hit_a)[keep] - _mag_db(h_d, hit_d)[keep]
+    bad = np.flatnonzero(~np.isfinite(errors))
+    if bad.size:
+        raise DomainError(f"magnitude error is not finite at {float(freqs[bad[0]])!r} Hz")
+    return list(zip(freqs.tolist(), errors.tolist()))
 
 
 def rmse(errors) -> float:
@@ -338,7 +345,7 @@ def pole_map_table(
         mapped = z_from_s(upper_pole(p, beta_n / beta_c), SbtParams(alpha, beta_c), T)
         den = qr_discretize(p, m, T)
         root_hi, _ = quadratic_roots(Polynomial([den.b0, den.b1, den.b2]))
-        if abs(mapped - root_hi) > consistency_tol:
+        if not (abs(mapped - root_hi) <= consistency_tol):  # a nan on either route fails
             raise CrossCheckError(
                 f"{method_label(m)}: analytic pole image {mapped!r} and biquad "
                 f"denominator root {root_hi!r} disagree beyond {consistency_tol:g}"

@@ -106,8 +106,8 @@ def _rows_json(rows: list) -> str:
 
 
 def _emit(args, rows, keys, table=None, payload=None, writes=()) -> int:
-    """The one place a command writes: each (path, render) in writes makes
-    one file of render()'s text, in --trace-dir once it is made, and the
+    """The one place a command writes: each (path, columns, rows) table in
+    writes makes one csv file, in --trace-dir once it is made, and the
     result goes to --output or stdout.  Every file, --output too, is staged
     before any is renamed into place (sim.write_atomic), so a failure to
     write one leaves none.  json is the rows, or payload when given; csv is
@@ -125,8 +125,8 @@ def _emit(args, rows, keys, table=None, payload=None, writes=()) -> int:
         os.makedirs(args.trace_dir, exist_ok=True)
 
     def files():  # each text is made just before it is staged, so one is held at a time
-        for path, render in writes:
-            yield path, (render(),)
+        for path, columns, table_rows in writes:
+            yield path, (sim.csv_text(columns, table_rows),)
         if args.output is not None:
             yield args.output, pieces
 
@@ -351,9 +351,8 @@ def cmd_simulate_board(args) -> int:
             n = np.arange(int(round(20 * fs / args.f)))  # 20 drive cycles
             x = args.amp * np.sin(2.0 * math.pi * args.f * n / fs)
             y = _per_method(label, sim.run_difference_equation, coeffs, x)
-            rows_t = zip((n / fs).tolist(), x.tolist(), y.tolist())
-            writes.append((os.path.join(args.trace_dir, f"board_{label}.csv"),
-                           functools.partial(sim.csv_text, ("t", "x", "y"), rows_t)))
+            writes.append((os.path.join(args.trace_dir, f"board_{label}.csv"), ("t", "x", "y"),
+                           zip((n / fs).tolist(), x.tolist(), y.tolist())))
     table = [
         f"{r['method']:8s} amp = {r['amplitude']:.4f}  phase = {r['phase_deg']:8.3f} deg  "
         f"predicted = {r['predicted']:.4f}  mismatch = {100 * r['mismatch']:.4f}%"
@@ -375,7 +374,7 @@ def cmd_simulate_inverter(args) -> int:
         rows.append({"method": name, "thd_pct": sim.trace_thd(trace, cfg, periods=args.periods)})
         if args.trace_dir:
             writes.append((os.path.join(args.trace_dir, f"inverter_{name}.csv"),
-                           functools.partial(sim._trace_csv_text, trace)))
+                           list(vars(trace)), zip(*vars(trace).values())))
     table = [f"{r['method']:8s} THDi = {r['thd_pct']:.4f} %" for r in rows]
     return _emit(args, rows, ["method", "thd_pct"], table, writes=writes)
 
@@ -391,9 +390,7 @@ def cmd_optimize(args) -> int:
         refine_iters=args.iters,
     )
     res = tuning.optimize_alpha_beta(p, T, loss_cfg, search)
-    writes = []
-    if args.trace:
-        writes.append((args.trace, functools.partial(sim.csv_text, tuning.TraceEntry._fields, res.trace)))
+    writes = [(args.trace, tuning.TraceEntry._fields, res.trace)] if args.trace else []
     summary = {
         "alpha": res.alpha,
         "beta": res.beta,

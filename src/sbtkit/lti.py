@@ -177,6 +177,7 @@ def _check_residual(p: Polynomial, roots) -> None:
     lead = abs(p.coeffs[-1])
     for r in roots:
         bound = 1e-9 * lead * max(1.0, abs(r)) ** 2
-        # require |p(r)| small relative to the leading coefficient scale
-        if abs(p(r)) > max(bound, 1e-9 * max(abs(c) for c in p.coeffs)):
+        # require |p(r)| small relative to the leading coefficient scale;
+        # written with <= so that a nan residual or bound fails the check
+        if not (abs(p(r)) <= max(bound, 1e-9 * max(abs(c) for c in p.coeffs))):
             raise CrossCheckError(f"root residual check failed at {r!r}: |p(r)|={abs(p(r)):.3e}")

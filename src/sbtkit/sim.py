@@ -634,12 +634,6 @@ def write_atomic(files) -> None:
         raise
 
 
-def _trace_csv_text(trace: SimTrace) -> str:
-    """t,i_grid,v_grid,v_inv rows at full precision."""
-    return csv_text(("t", "i_grid", "v_grid", "v_inv"),
-                    zip(trace.t, trace.i_grid, trace.v_grid, trace.v_inv))
-
-
 def write_trace_csv(trace: SimTrace, path: str) -> None:
-    """Write t,i_grid,v_grid,v_inv rows at full precision, atomically."""
-    write_atomic([(path, (_trace_csv_text(trace),))])
+    """Write the trace's fields (t,i_grid,v_grid,v_inv) as rows at full precision, atomically."""
+    write_atomic([(path, (csv_text(list(vars(trace)), zip(*vars(trace).values())),))])

@@ -89,6 +89,10 @@ ERROR_CASES = [
     ("optimize", "--kr", "1e308", "--coarse", "3", "--iters", "1"),
     ("bode", "--method", "sbt", "--kr", "1e308"),
     ("simulate", "inverter", "--config", "{config}/kr_inv.json"),
+    # exit 3: a nan pole fails the two-route check; a magnitude error that is not finite
+    ("pole-map", "--methods", "sbt", "--alpha", "0.5", "--beta", "1.7e308", "--format", "csv"),
+    ("rmse", "--methods", "tustin,sbt", "--kr", "6e306"),
+    ("rmse", "--grid", "5e-324:5e-324:1"),
     # exit 3 before any run or trace file: a later method cannot be discretized
     ("simulate", "board", "--methods", "euler,sota", "--fs", "1000", "--f", "100",
      "--trace-dir", "{tmp}"),
@@ -118,7 +122,7 @@ ERROR_CASES = [
     # exit 0: a method name in capitals, a grid whose top points overflow to null
     ("error", "--method", "SBT"),
     ("bode", "--grid", "1:1e308:5:log", "--format", "json"),
-    # exit 0: json rows on the default 2201-point grid, nulls inside rows, a single row
+    # exit 0: json rows on the default 2200-point grid, nulls inside rows, a single row
     ("error", "--format", "json"),
     ("bode", "--kr", "1e308", "--grid", "940:960:3", "--format", "json"),
     ("discretize", "--method", "sbt", "--format", "json"),
