@@ -180,9 +180,9 @@ def _discretize(p: controllers.QrParams, m, T: float) -> controllers.BiquadCoeff
     return biq
 
 
-def _methods(args, p: controllers.QrParams, T: float, extra=(), one: bool = False) -> list:
-    """The --method names in order, stripped and case-insensitive, as method
-    tags; names in extra pass through as strings.  one: take exactly one name."""
+def _methods(args, p: controllers.QrParams, T: float, reference=None, one: bool = False) -> list:
+    """(name, method tag) per --method name in order, stripped and case-insensitive;
+    the command's reference row gives (reference, None).  one: take exactly one name."""
     names = [name.strip().lower() for name in args.method.split(",") if name.strip()]
     if not names:
         raise ParamError("no methods requested")
@@ -191,27 +191,24 @@ def _methods(args, p: controllers.QrParams, T: float, extra=(), one: bool = Fals
     out = []
     for name in names:
         tag = transforms.METHODS.get(name)
-        if name in extra:
-            out.append(name)
+        if name == reference:
+            out.append((name, None))
         elif tag is None:
             raise ParamError(f"unknown method {name!r}")
         elif tag is transforms.Sbt:
             alpha = 0.5 if args.alpha is None else args.alpha
             beta = transforms.prewarp_factor(p.omega_n, T) if args.beta is None else args.beta
-            out.append(transforms.Sbt(transforms.SbtParams(alpha, beta)))
+            out.append((name, transforms.Sbt(transforms.SbtParams(alpha, beta))))
         else:
-            out.append(tag())
+            out.append((name, tag()))
     return out
 
 
-def _designs(args, p: controllers.QrParams, T: float, extra=(), one: bool = False) -> list:
-    """(label, checked biquad) for each --method name in order, every one
-    resolved and discretized before a command runs or writes anything;
-    a name in extra gives (name, None)."""
-    return [
-        (m, None) if m in extra else (transforms.method_label(m), _discretize(p, m, T))
-        for m in _methods(args, p, T, extra, one)
-    ]
+def _designs(args, p: controllers.QrParams, T: float, reference=None, one: bool = False) -> list:
+    """(name, checked biquad) per --method name in order, each resolved and discretized
+    before a command runs or writes anything; the reference row stays (reference, None)."""
+    return [(name, m if m is None else _discretize(p, m, T))
+            for name, m in _methods(args, p, T, reference, one)]
 
 
 def _per_method(name: str, run, *args):
@@ -270,7 +267,7 @@ def cmd_discretize(args) -> int:
 def cmd_bode(args) -> int:
     p, T = _qr(args)
     grid = _grid_from_args(args, analysis.default_bode_grid)
-    ((_, biq),) = _designs(args, p, T, extra=("analog",), one=True)
+    ((_, biq),) = _designs(args, p, T, "analog", one=True)
     tf = controllers.qr_continuous(p) if biq is None else biq.to_transfer(T)
     mag_db, phase, _ = analysis._response_arrays(tf, grid.as_array())
     rows = [{"f_hz": f, "mag_db": m, "phase_deg": ph}
@@ -307,9 +304,9 @@ def cmd_rmse(args) -> int:
 
 def cmd_pole_map(args) -> int:
     p, T = _qr(args)
-    requested = _methods(args, p, T, extra=("exact",))
-    records = analysis.pole_map_table(p, T, [m for m in requested if m != "exact"])
-    if "exact" not in requested:
+    requested = _methods(args, p, T, "exact")
+    records = analysis.pole_map_table(p, T, [m for _, m in requested if m is not None])
+    if all(m is not None for _, m in requested):  # no reference row was asked for
         records = records[1:]
     rows = [
         {
@@ -368,7 +365,7 @@ def cmd_simulate_inverter(args) -> int:
     p = controllers.QrParams(c["kr_inv"], c["wc"], c["wn"])
     pi_leg = controllers.pi_discretize(controllers.PiParams(c["kp"], c["tau_i"]), T)
     rows, writes = [], []
-    for name, biq in _designs(args, p, T, extra=("pi",)):
+    for name, biq in _designs(args, p, T, "pi"):
         legs = (pi_leg,) if biq is None else (pi_leg, controllers.diff_eq_coeffs(biq))
         trace = _per_method(name, sim.inverter_closed_loop, cfg, legs)
         rows.append({"method": name, "thd_pct": sim.trace_thd(trace, cfg, periods=args.periods)})
@@ -474,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", "--methods", default=METHOD_NAMES)
 
     sp = command(sub, "pole-map", "pole landing table", cmd_pole_map)
-    sp.add_argument("--method", "--methods", default="exact," + METHOD_NAMES)
+    sp.add_argument("--method", "--methods", default="exact," + METHOD_NAMES,
+                    help="exact, euler, tustin, sota or sbt")
 
     scenario = command(sub, "simulate", "steady-state sine test or inverter loop")
     scenarios = scenario.add_subparsers(dest="scenario", required=True)
@@ -528,8 +526,9 @@ def main(argv=None) -> int:
         except SbtkitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        except OverflowError:
-            values = ", ".join(f"{k}={v!r}" for k, v in args.constants.items())
+        except OverflowError:  # the constants, then --alpha and --beta where given
+            given = {k: v for k in ("alpha", "beta") if (v := getattr(args, k, None)) is not None}
+            values = ", ".join(f"{k}={v!r}" for k, v in {**args.constants, **given}.items())
             print(f"error: double-precision overflow with {values}", file=sys.stderr)
             return 3
 
