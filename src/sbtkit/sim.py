@@ -496,12 +496,8 @@ def _closed_loop_steps(legs, delay: int, coef: float, i_ref: np.ndarray, v_grid:
         u = 0.0
         for leg in runners:
             u += leg.step(err)
-        cmd = u + v_grid[n]
-        if line:
-            line.append(cmd)
-            vb = line.pop(0)
-        else:
-            vb = cmd
+        line.append(u + v_grid[n])
+        vb = line.pop(0)  # the command itself when delay is 0
         i_grid[n] = i_l
         v_inv[n] = vb
         i_l += coef * (vb - v_grid[n])

@@ -5,6 +5,11 @@ refines around the best cell with alternating per-axis golden-section
 steps.  The straightforward pair (0.5, pre-warp factor) is always
 evaluated first when it lies inside the box, so the returned loss never
 exceeds it.  Everything is deterministic: same inputs, same trace.
+
+The trace is the search's one record: the answer is its first evaluation
+of least loss, a nan loss never wins (best_loss is the running minimum
+with nan ignored), and the refine stage brackets the earliest least
+coarse cell, nan counted as inf.
 """
 
 from __future__ import annotations
@@ -247,10 +252,10 @@ def optimize_alpha_beta(
     Stage one evaluates the straightforward pair (when inside the box) and
     an inclusive coarse_points x coarse_points grid; ties keep the earliest
     cell.  Stage two alternates golden-section steps on alpha and beta in a
-    bracket spanning the coarse neighbors of the best cell.  The best point
-    ever evaluated is returned, so the result never loses to the
-    straightforward design it is meant to improve on.  DomainError is
-    raised when no evaluated pair gives a finite loss.
+    bracket spanning the coarse neighbors of the best cell.  The first
+    evaluation of least loss in the trace is returned, so the result never
+    loses to the straightforward design it is meant to improve on.
+    DomainError is raised when no evaluated pair gives a finite loss.
     """
     if loss_cfg is None:
         loss_cfg = _default_loss()
@@ -258,15 +263,11 @@ def optimize_alpha_beta(
         search_cfg = SearchConfig()
 
     trace: list[TraceEntry] = []
-    best_alpha = best_beta = None
-    best_loss = math.inf
 
     def evaluate(stage: str, a: float, b: float) -> float:
-        nonlocal best_alpha, best_beta, best_loss
         val = q_loss(a, b, p, T, loss_cfg)
-        if val < best_loss:
-            best_alpha, best_beta, best_loss = a, b, val
-        trace.append(TraceEntry(stage, a, b, val, best_loss))
+        best = trace[-1].best_loss if trace else math.inf
+        trace.append(TraceEntry(stage, a, b, val, val if val < best else best))
         return val
 
     sf = sbt_params_straightforward(p, T)
@@ -277,16 +278,11 @@ def optimize_alpha_beta(
 
     alphas = _axis_points(a_lo, a_hi, search_cfg.coarse_points)
     betas = _axis_points(b_lo, b_hi, search_cfg.coarse_points)
-    best_cell = (0, 0)
-    best_cell_loss = math.inf
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
-            val = evaluate("coarse", a, b)
-            if val < best_cell_loss:
-                best_cell_loss = val
-                best_cell = (i, j)
+    coarse = [evaluate("coarse", a, b) for a in alphas for b in betas]
+    # the earliest least cell, nan counted as inf
+    cell = min(range(len(coarse)), key=lambda k: math.inf if math.isnan(coarse[k]) else coarse[k])
 
-    i, j = best_cell
+    i, j = divmod(cell, len(betas))
     a_left = alphas[max(i - 1, 0)]
     a_right = alphas[min(i + 1, len(alphas) - 1)]
     b_left = betas[max(j - 1, 0)]
@@ -304,12 +300,14 @@ def optimize_alpha_beta(
                 b_left, b_right, lambda b: evaluate("refine-beta", cur_a, b)
             )
 
-    if best_alpha is None:
+    least = trace[-1].best_loss
+    if least == math.inf:
         raise DomainError("no (alpha, beta) in the box gives a finite loss")
+    best = next(e for e in trace if e.loss == least)
     return OptimizeResult(
-        alpha=best_alpha,
-        beta=best_beta,
-        loss_value=best_loss,
+        alpha=best.alpha,
+        beta=best.beta,
+        loss_value=best.loss,
         straightforward=sf,
         straightforward_loss=sf_loss,
         trace=tuple(trace),
