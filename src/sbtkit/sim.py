@@ -4,8 +4,10 @@ measurements, spectral distortion, and the grid-tied inverter loop.
 Both runners simulate every sample of a linear system with one output
 row.  A system whose powers are shown to decay runs as a block
 state-space recursion in numpy: matrix products over all blocks of BLOCK
-samples at once, and for the block-edge states a scan of about
-log2(blocks) levels where it costs less than one step per block.  Any
+samples at once, a scan of about log2(blocks) levels for the block-edge
+states where it costs less than one step per block, and the outputs as
+one product per block row [state before the block | the block of every
+input], so each output sample is one sum of products.  Any
 other system (every one with spectral radius at least one), and any run
 whose output, block-edge state or final state leaves OVERFLOW_GUARD,
 runs the per-step loop from sample 0, which raises the overflow error at
@@ -56,10 +58,14 @@ __all__ = [
 ]
 
 OVERFLOW_GUARD = 1e12
-# samples per block of the block state-space runner: each block's convolution
-# is a BLOCK x BLOCK matrix product, and the block edges a scan of
-# ceil(log2(total/BLOCK)) levels or a loop of total/BLOCK steps
-BLOCK = 64
+# samples per block of the block state-space runner: each block's outputs
+# are its row [edge state | input blocks] times a (states + inputs*BLOCK,
+# BLOCK) matrix, and the block edges a scan of ceil(log2(total/BLOCK))
+# levels or a loop of total/BLOCK steps
+BLOCK = 32
+# block rows per output product, rounded up to even: the rows are copied into
+# a buffer of this size, so no product makes a temporary of the run's length
+OUTPUT_ROWS = 256
 # most samples one run may ask for (about 105 s at the 40 kHz control rate)
 MAX_SAMPLES = 2**22
 # longest bridge delay line; the loop's state matrix grows as its square
@@ -153,22 +159,28 @@ def _block_lti(A, B, C, D, inputs):
     state after the block is A^K s0 plus the inputs weighted by
     A^(K-1-j) B (Burrus, "Block realization of digital filters", 1972).
     With each input's whole blocks as the rows of an (nb, K) view, every
-    block's convolution is one product with a K x K lower-triangular
-    Toeplitz matrix of the Markov parameters, every block's input drive
-    on the state is one product with the A^(K-1-j) B rows, and every
-    block's state response is one product of the block-edge states with
-    the C A^j rows.  The edge-state recursion s <- A^K s + drive is an
+    block's input drive on the state is one product with the A^(K-1-j) B
+    rows.  The edge-state recursion s <- A^K s + drive is an
     inclusive (Hillis-Steele) scan: at shift = 1, 2, 4, ... below the
     block count, every edge adds the edge shift blocks before it times
     A^(K*shift), whose square is the next level's step, so the loop runs
-    ceil(log2(blocks)) times (10 for a 40,000-step inverter run).  The
+    ceil(log2(blocks)) times (11 for a 40,000-step inverter run).  The
     squarings run in long double, so the scan runs only where that is the
     x87 format and _scan_pays finds it cheaper; elsewhere the recursion is
-    a loop, one step per block.  A last block shorter than K and the
-    state after the last sample are done on their own.  The small 2-D
+    a loop, one step per block.  Then each block's K outputs are one
+    product of its row [state before the block | that block of every
+    input] with [the C A^j rows ; each input's K x K lower-triangular
+    Toeplitz matrix of the Markov parameters], so each output sample is
+    one sum of ns + m*K products.  The rows go through a buffer of
+    OUTPUT_ROWS rows, rounded up to even, and a last chunk of odd count
+    takes one more (stale) row whose outputs are dropped: OpenBLAS's
+    Haswell kernel rounds a lone remainder row, and numpy sends a one-row
+    product to gemv, in another order, so with even counts every output
+    rounds alike whatever the buffer size.  A last block shorter than K
+    and the state after the last sample are done on their own.  The small 2-D
     products (the powers of A, _decays' squarings, each scan level) go
     through np.dot, the same BLAS call as @ without matmul's
-    per-call dispatch; the batched 3-D ones keep @.  The sums round
+    per-call dispatch; the batched 3-D ones and the output rows keep @.  The sums round
     in another order than the per-step loop: on the runs the tests check,
     scan and edge loop alike, outputs agree with it within 1e-12 of the
     signal peak (the README gives a longer run where both drift further).
@@ -228,9 +240,20 @@ def _block_lti(A, B, C, D, inputs):
             return None
         y = np.empty(total)
         whole = y[: nb * K].reshape(nb, K)  # a view: the products write in place
-        np.matmul(edges[:nb], state_out.T, out=whole)
-        for u, t in zip(blocks, toeplitz):
-            whole += u @ t
+        # block row b is [edges[b] | block b of every input], and its outputs are
+        # that row times [C A^j rows ; each input's Toeplitz], one sum per sample
+        fused = np.concatenate((state_out.T, toeplitz.reshape(m * K, K)))
+        size = min(OUTPUT_ROWS, nb)
+        rows = np.zeros((size + size % 2, ns + m * K))
+        for b in range(0, nb, len(rows)):
+            n = min(len(rows), nb - b)
+            rows[:n, :ns] = edges[b : b + n]
+            for i, u in enumerate(blocks):
+                rows[:n, ns + i * K : ns + (i + 1) * K] = u[b : b + n]
+            if n % 2:  # the last chunk: one more row, its outputs dropped
+                whole[b : b + n] = np.matmul(rows[: n + 1], fused)[:n]
+            else:
+                np.matmul(rows[:n], fused, out=whole[b : b + n])
         if tail:
             y[nb * K :] = state_out[:tail] @ edges[nb] + sum(
                 u @ t[:tail, :tail] for u, t in zip(rest, toeplitz)
@@ -292,8 +315,10 @@ class SineTestResult:
     residual: float
 
 
+@functools.lru_cache(maxsize=1)
 def _cycle_fraction(f: float, fs: float) -> Fraction:
-    # rational cycles-per-sample; exact for ratios that are exact in binary
+    # rational cycles-per-sample; exact for ratios that are exact in binary.
+    # Cached like _sine_drive: every method tested at one drive shares it
     return Fraction(f / fs).limit_denominator(4096)
 
 

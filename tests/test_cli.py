@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from sbtkit import analysis, cli, load_grid_file, prewarp_factor
+from sbtkit import analysis, cli, load_grid_file, prewarp_factor, sim
 
 KPW = prewarp_factor(5969.0, 5e-5)
 
@@ -690,6 +690,14 @@ def test_board_not_settled_names_its_method(capsys):
     assert code == 3 and out == ""
     assert err == ("error: method euler: window amplitudes 1.1657680117987348 and "
                    "1.1686168705855131 differ by more than 0.1%; increase settle_cycles\n")
+
+
+def test_the_methods_of_one_board_run_reduce_the_drive_frequency_once(capsys):
+    sim._cycle_fraction.cache_clear()
+    code, _ = run(capsys, "simulate", "board", "--methods", "euler,tustin,sota,sbt", "--f", "937.5")
+    assert code == 0
+    info = sim._cycle_fraction.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_a_library_warning_is_one_line_on_stderr(capsys):

@@ -430,6 +430,31 @@ def test_a_guard_crossing_in_the_tail_block_alone_takes_the_per_step_route():
             sim._closed_loop_steps(legs, delay, coef, i_ref, v_grid)
 
 
+def _one_and_two_input_runs():
+    rng = np.random.default_rng(5)
+    legs = [_stable_leg(rng) for _ in range(2)]
+    closed = sim._closed_loop_system(inverter_legs(TustinPrewarp()), 1, 1.0 / 40000.0 / 245e-6)
+    for short in (0, 9):  # whole blocks only, and a short last block
+        n = 11 * sim.BLOCK + short  # an odd block count: the last chunk is odd at every size
+        yield pytest.param(sim._legs_system(legs), [rng.uniform(-1.0, 1.0, n)], id=f"one-input-{n}")
+        t = np.arange(n) / 40000.0
+        yield pytest.param(closed, [30.0 * np.sin(2.0 * math.pi * 50.0 * t),
+                                    311.0 * np.sin(2.0 * math.pi * 50.0 * t)], id=f"two-input-{n}")
+
+
+@pytest.mark.parametrize("system, inputs", _one_and_two_input_runs())
+def test_block_outputs_do_not_depend_on_the_row_buffer_size(monkeypatch, system, inputs):
+    blocks = len(inputs[0]) // sim.BLOCK
+    runs = []
+    for size in (1, 3, blocks, 4 * blocks):
+        monkeypatch.setattr(sim, "OUTPUT_ROWS", size)
+        run = sim._block_lti(*system, inputs)
+        assert run is not None
+        runs.append(run[0])
+    for y in runs[1:]:
+        assert np.array_equal(y, runs[0])
+
+
 def test_runs_at_one_config_share_read_only_drive_rows():
     cfg = InverterConfig(duration=0.4)
     first = inverter_closed_loop(cfg, inverter_legs(TustinPrewarp()))
