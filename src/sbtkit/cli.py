@@ -333,7 +333,8 @@ def cmd_simulate_board(args) -> int:
         res = _per_method(label, sim.sine_steady_state, coeffs, args.f, fs, args.amp,
                           args.settle_cycles, args.measure_cycles)
         h, _ = analysis.complex_response(biq.to_transfer(T), np.array([args.f]))
-        predicted = float(abs(h[0])) * args.amp
+        # the measured amplitude is |amp|*|H|, whatever the drive's sign
+        predicted = float(abs(h[0])) * abs(args.amp)
         rows.append(
             {
                 "method": label,
@@ -345,11 +346,13 @@ def cmd_simulate_board(args) -> int:
             }
         )
         if args.trace_dir:
-            n = np.arange(int(round(20 * fs / args.f)))  # 20 drive cycles
-            x = args.amp * np.sin(2.0 * math.pi * args.f * n / fs)
+            if not writes:  # one drive of 20 cycles, built once the probe has checked f and amp
+                n = round(20 * fs / args.f)
+                x = sim._sine_row(args.f, fs, args.amp, n)
+                t, xs = (np.arange(float(n)) / fs).tolist(), x.tolist()
             y = _per_method(label, sim.run_difference_equation, coeffs, x)
             writes.append((os.path.join(args.trace_dir, f"board_{label}.csv"), ("t", "x", "y"),
-                           zip((n / fs).tolist(), x.tolist(), y.tolist())))
+                           zip(t, xs, y.tolist())))
     table = [
         f"{r['method']:8s} amp = {r['amplitude']:.4f}  phase = {r['phase_deg']:8.3f} deg  "
         f"predicted = {r['predicted']:.4f}  mismatch = {100 * r['mismatch']:.4f}%"

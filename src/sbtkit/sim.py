@@ -322,23 +322,42 @@ def _cycle_fraction(f: float, fs: float) -> Fraction:
     return Fraction(f / fs).limit_denominator(4096)
 
 
+def _sine_row(f: float, fs: float, amp: float, total: int) -> np.ndarray:
+    """amp*sin(2*pi*f*n/fs) for the first ``total`` sample counts n, built in
+    one buffer.  The counts are doubles, exact below 2**53, so the row is
+    that of the formula on the integer counts, as in _time_row."""
+    x = np.arange(float(total))
+    x *= 2.0 * math.pi * f
+    x /= fs
+    np.sin(x, out=x)
+    x *= amp
+    return x
+
+
 @functools.lru_cache(maxsize=1)
 def _sine_drive(f: float, fs: float, amp: float, settle: int, window: int):
     """The drive rows of a sine test, read-only: the drive amp*sin(2*pi*f*n/fs)
-    and the phasors exp(-2j*pi*f*n/fs) of its two measurement windows.
-    Every method tested at one drive shares them, and the next drive
-    replaces them.  The second window's phasor projects both the response
-    and the drive."""
-    n = np.arange(settle + 2 * window)
-
-    def phasor(idx: np.ndarray) -> np.ndarray:
-        return np.exp(-2j * math.pi * f * idx / fs)
-
-    x = amp * np.sin(2.0 * math.pi * f * n / fs)
-    rows = x, phasor(n[settle : settle + window]), phasor(n[settle + window :])
-    for row in rows:
-        row.flags.writeable = False
-    return rows
+    and the phasors exp(-2j*pi*f*n/fs) of its two measurement windows, two
+    views of one row.  Every method tested at one drive shares them, and
+    the next drive replaces them.  The second window's phasor projects both
+    the response and the drive."""
+    total = settle + 2 * window
+    x = _sine_row(f, fs, amp, total)
+    # the phasor row after the drive, then its own count row, and no
+    # float-to-complex cast (whose ufunc buffer is one more allocation):
+    # other orders made the board op fault in pages the heap had trimmed
+    ph = np.empty(2 * window, dtype=complex)
+    phase = np.arange(float(settle), float(total))
+    phase *= -2.0 * math.pi * f
+    # numpy divides a complex row by a real fs as a product with 1/fs
+    phase *= 1.0 / fs
+    ph.real = 0.0
+    # + 0.0, as in the complex product, gives count 0 the phase +0.0
+    np.add(phase, 0.0, out=ph.imag)
+    np.exp(ph, out=ph)
+    x.flags.writeable = False
+    ph.flags.writeable = False
+    return x, ph[:window], ph[window:]
 
 
 def sine_steady_state(
