@@ -364,6 +364,7 @@ def cmd_simulate_board(args) -> int:
 def cmd_simulate_inverter(args) -> int:
     c = args.constants
     cfg = sim.InverterConfig(**{field: getattr(args, field) for _, field, _ in INVERTER_FLAGS})
+    sim._thd_window(cfg, args.periods, round(cfg.duration * cfg.fs_ctrl))  # before any run
     T = 1.0 / cfg.fs_ctrl
     p = controllers.QrParams(c["kr_inv"], c["wc"], c["wn"])
     pi_leg = controllers.pi_discretize(controllers.PiParams(c["kp"], c["tau_i"]), T)

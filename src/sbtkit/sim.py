@@ -7,11 +7,12 @@ state-space recursion in numpy: matrix products over all blocks of BLOCK
 samples at once, a scan of about log2(blocks) levels for the block-edge
 states where it costs less than one step per block, and the outputs as
 one product per block row [state before the block | the block of every
-input], so each output sample is one sum of products.  Any
-other system (every one with spectral radius at least one), and any run
-whose output, block-edge state or final state leaves OVERFLOW_GUARD,
-runs the per-step loop from sample 0, which raises the overflow error at
-the exact step.
+input], so each output sample is one sum of products.  The rows are an
+even count of whole blocks, zero-filled past the last sample.  Any other
+system (every one with spectral radius at least one), and any run where a
+block-edge state or any computed output leaves OVERFLOW_GUARD, runs the
+per-step loop from sample 0, which raises the overflow error at the exact
+step.
 
 The inverter model is the average model of an L-filtered bridge: the
 controller runs at the control rate, its output voltage command is
@@ -109,6 +110,16 @@ def _as_legs(coeffs) -> list[DiffEqCoeffs]:
     return legs
 
 
+def _signal(samples, what: str) -> np.ndarray:
+    """samples as one row of floats; a scalar or a 2-D array is a ParamError."""
+    x = np.asarray(samples, dtype=float)
+    if x.size == 0:
+        raise EmptyInput(f"no {what}")
+    if x.ndim != 1:
+        raise ParamError(f"{what} must be one row, got shape {x.shape}")
+    return x
+
+
 def _decays(A) -> bool:
     """Whether some power A^(2^j), j <= 20, has every absolute row sum at
     most 1/2, which proves the spectral radius of A below one.  No A with
@@ -171,14 +182,15 @@ def _block_lti(A, B, C, D, inputs):
     product of its row [state before the block | that block of every
     input] with [the C A^j rows ; each input's K x K lower-triangular
     Toeplitz matrix of the Markov parameters], so each output sample is
-    one sum of ns + m*K products.  The rows go through a buffer of
-    OUTPUT_ROWS rows, rounded up to even, and a last chunk of odd count
-    takes one more (stale) row whose outputs are dropped: OpenBLAS's
-    Haswell kernel rounds a lone remainder row, and numpy sends a one-row
-    product to gemv, in another order, so with even counts every output
-    rounds alike whatever the buffer size.  A last block shorter than K
-    and the state after the last sample are done on their own.  The small 2-D
-    products (the powers of A, _decays' squarings, each scan level) go
+    one sum of ns + m*K products.  The run is stepped as an even number
+    of block rows, ceil(samples / 2K) * 2: rows past the last sample take
+    zero inputs, rows past the last whole block a zero edge, and their
+    outputs are computed and dropped.  The rows go through a buffer of
+    OUTPUT_ROWS rows, rounded up to even, so every product has an even
+    row count: OpenBLAS's Haswell kernel rounds a lone remainder row, and
+    numpy sends a one-row product to gemv, in another order, so with even
+    counts every output rounds alike whatever the buffer size.  The small
+    2-D products (the powers of A, _decays' squarings, each scan level) go
     through np.dot, the same BLAS call as @ without matmul's
     per-call dispatch; the batched 3-D ones and the output rows keep @.  The sums round
     in another order than the per-step loop: on the runs the tests check,
@@ -187,15 +199,16 @@ def _block_lti(A, B, C, D, inputs):
 
     Returns [y], the one output row, or None when the per-step loop must
     run instead: A^K, the power the products need anyway, is not shown to
-    decay (spectral radius >= 1, or no halving within A^(K*2^20)), or the
-    output, a block-edge state or the state after the last sample is not
+    decay (spectral radius >= 1, or no halving within A^(K*2^20)), or a
+    block-edge state or any computed output, dropped ones included, is not
     finite and below OVERFLOW_GUARD.
     """
     ns, m = B.shape
     total = len(inputs[0])
+    K = BLOCK
+    nb = total // K  # whole blocks
+    nr = -(-total // (2 * K)) * 2  # block rows, even
     with np.errstate(all="ignore"):
-        K = min(BLOCK, total)
-        nb, tail = divmod(total, K)
         powers = np.empty((K + 1, ns, ns))  # A^0 .. A^K
         powers[0] = np.eye(ns)
         for k in range(K):
@@ -207,17 +220,15 @@ def _block_lti(A, B, C, D, inputs):
         # the Markov parameters D, CB, CAB, ... after K - 1 zeros
         markov = np.zeros((m, 2 * K - 1))
         markov[:, K - 1] = D[0]
-        # @, not np.dot: B is a strided view, and at K = 2 with two inputs np.dot
-        # of its one row with B takes another BLAS route and rounds differently
         markov[:, K:] = (state_out[: K - 1] @ B).T
         # [i, j, k] = Markov parameter k - j, 0 for k < j: a row of inputs times it is their convolution
         toeplitz = np.take(markov, _toeplitz_index(K), axis=1)
-        blocks = [row[: nb * K].reshape(nb, K) for row in inputs]
 
-        edges = np.zeros((nb + 1, ns))  # the state before each whole block, and after the last
-        after = edges[1:]  # a view: the state after each whole block
-        for u, w in zip(blocks, weights):
-            after += u @ w  # every block's input drive on the state after it
+        # the state before each block row; rows past the last whole block keep a zero edge
+        edges = np.zeros((nr + 1, ns))
+        after = edges[1 : nb + 1]  # a view: the state after each whole block
+        for row, w in zip(inputs, weights):
+            after += row[: nb * K].reshape(nb, K) @ w  # every block's input drive on the state after it
         if _scan_pays(ns, nb):
             # inclusive scan of s <- A^K s + drive: after the level at shift, each
             # row holds the drives of the 2*shift blocks up to it, carried by A^K
@@ -232,35 +243,27 @@ def _block_lti(A, B, C, D, inputs):
             for edge in after:  # the state moves from block edge to block edge
                 edge += np.dot(state, step)
                 state = edge
-        s = edges[nb]
-        if tail:
-            rest = [row[nb * K :] for row in inputs]
-            s = powers[tail] @ s + sum(u @ w[K - tail :] for u, w in zip(rest, weights))
-        if not (_within_guard(edges) and _within_guard(s)):
+        if not _within_guard(edges):
             return None
-        y = np.empty(total)
-        whole = y[: nb * K].reshape(nb, K)  # a view: the products write in place
-        # block row b is [edges[b] | block b of every input], and its outputs are
-        # that row times [C A^j rows ; each input's Toeplitz], one sum per sample
+        whole = np.empty((nr, K))  # every row's outputs; those past the last sample are dropped
+        # block row b is [edges[b] | block b of every input, zero past the last
+        # sample], and its outputs are that row times [C A^j rows ; each input's
+        # Toeplitz], one sum per sample
         fused = np.concatenate((state_out.T, toeplitz.reshape(m * K, K)))
-        size = min(OUTPUT_ROWS, nb)
+        size = min(OUTPUT_ROWS, nr)
         rows = np.zeros((size + size % 2, ns + m * K))
-        for b in range(0, nb, len(rows)):
-            n = min(len(rows), nb - b)
+        for b in range(0, nr, len(rows)):
+            n = min(len(rows), nr - b)
             rows[:n, :ns] = edges[b : b + n]
-            for i, u in enumerate(blocks):
-                rows[:n, ns + i * K : ns + (i + 1) * K] = u[b : b + n]
-            if n % 2:  # the last chunk: one more row, its outputs dropped
-                whole[b : b + n] = np.matmul(rows[: n + 1], fused)[:n]
-            else:
-                np.matmul(rows[:n], fused, out=whole[b : b + n])
-        if tail:
-            y[nb * K :] = state_out[:tail] @ edges[nb] + sum(
-                u @ t[:tail, :tail] for u, t in zip(rest, toeplitz)
-            )
-        if not _within_guard(y):
+            for i, row in enumerate(inputs):
+                u = row[b * K : (b + n) * K]
+                if u.size < n * K:  # the run's end: zeros fill the rows
+                    u = np.concatenate((u, np.zeros(n * K - u.size)))
+                rows[:n, ns + i * K : ns + (i + 1) * K] = u.reshape(n, K)
+            np.matmul(rows[:n], fused, out=whole[b : b + n])
+        if not _within_guard(whole):
             return None
-    return [y]
+    return [whole.reshape(-1)[:total]]
 
 
 def _legs_system(legs):
@@ -298,9 +301,7 @@ def _run_steps(legs, x: np.ndarray) -> np.ndarray:
 def run_difference_equation(coeffs, samples) -> np.ndarray:
     """Run one leg (or the sum of several parallel legs) over an input array."""
     legs = _as_legs(coeffs)
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise EmptyInput("no input samples")
+    x = _signal(samples, "input samples")
     run = _block_lti(*_legs_system(legs), [x])
     return _run_steps(legs, x) if run is None else run[0]
 
@@ -381,7 +382,7 @@ def sine_steady_state(
         raise DomainError(f"need 0 < f < fs/2, got f={f!r}, fs={fs!r}")
     if not math.isfinite(amp):
         raise ParamError(f"amp must be finite, got {amp!r}")
-    if settle_cycles < 0 or measure_cycles < 1:
+    if not (0 <= settle_cycles < math.inf and 1 <= measure_cycles < math.inf):
         raise ParamError("settle_cycles must be >= 0 and measure_cycles >= 1")
     frac = _cycle_fraction(f, fs)
     if frac == 0:
@@ -436,13 +437,11 @@ def thd(samples, f0: float, fs: float, max_harmonic: int = 50) -> float:
     harmonic h is read at bin h*p/g of its rfft.  With g = 1 the fold is
     the window itself.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise EmptyInput("no samples")
+    x = _signal(samples, "samples")
     if not 0.0 < f0 < 0.5 * fs:
         raise DomainError(f"need 0 < f0 < fs/2, got f0={f0!r}")
-    if max_harmonic < 2:
-        raise ParamError("max_harmonic must be at least 2")
+    if not (max_harmonic >= 2 and float(max_harmonic).is_integer()):
+        raise ParamError(f"max_harmonic must be a whole number of at least 2, got {max_harmonic!r}")
     periods = x.size * f0 / fs
     if abs(periods - round(periods)) > 1e-6 * max(periods, 1.0):
         raise WindowError(f"window spans {periods!r} periods, not an integer count")
@@ -456,7 +455,7 @@ def thd(samples, f0: float, fs: float, max_harmonic: int = 50) -> float:
     fund = c[q]
     if fund < 1e-300:
         raise DomainError("fundamental component is zero, distortion undefined")
-    top = min(max_harmonic, (m - 1) // (2 * q))  # the last harmonic below Nyquist
+    top = min(int(max_harmonic), (m - 1) // (2 * q))  # the last harmonic below Nyquist
     bins = np.arange(2, top + 1) * q
     return 100.0 * math.sqrt(float(np.sum(c[bins] ** 2))) / fund
 
@@ -634,16 +633,25 @@ def inverter_closed_loop(cfg: InverterConfig, controller) -> SimTrace:
     return SimTrace(t=t, i_grid=i_grid, v_grid=v_grid, v_inv=v_inv)
 
 
-def trace_thd(trace: SimTrace, cfg: InverterConfig, periods: int = 10) -> float:
-    """Distortion of the trailing ``periods`` grid periods of the trace."""
+def _thd_window(cfg: InverterConfig, periods: int, samples: int) -> int:
+    """The sample count of the last ``periods`` grid periods at cfg, the
+    window trace_thd reads from a trace of ``samples`` samples; a
+    ParamError or WindowError when there is no such window, so a caller
+    can check it before a run."""
     if periods < 1:
         raise ParamError(f"periods must be at least 1, got {periods!r}")
     per_samples = cfg.fs_ctrl / cfg.grid_freq
     n = round(periods * per_samples)
     if abs(periods * per_samples - n) > 1e-9:
         raise WindowError("fs_ctrl/grid_freq does not give whole samples per period")
-    if n > len(trace.i_grid):
+    if n > samples:
         raise WindowError("trace shorter than the requested measurement window")
+    return n
+
+
+def trace_thd(trace: SimTrace, cfg: InverterConfig, periods: int = 10) -> float:
+    """Distortion of the trailing ``periods`` grid periods of the trace."""
+    n = _thd_window(cfg, periods, len(trace.i_grid))
     return thd(trace.i_grid[-n:], cfg.grid_freq, cfg.fs_ctrl)
 
 
