@@ -8,7 +8,9 @@ samples at once, a scan of about log2(blocks) levels for the block-edge
 states where it costs less than one step per block, and the outputs as
 one product per block row [state before the block | the block of every
 input], so each output sample is one sum of products.  The rows are an
-even count of whole blocks, zero-filled past the last sample.  Any other
+even count of whole blocks, zero-filled past the last sample.  The
+matrices that depend on the system alone are built once per system, so a
+repeated controller only steps its inputs.  Any other
 system (every one with spectral radius at least one), and any run where a
 block-edge state or any computed output leaves OVERFLOW_GUARD, runs the
 per-step loop from sample 0, which raises the overflow error at the exact
@@ -126,7 +128,8 @@ def _decays(A) -> bool:
     radius >= 1 or a non-finite entry passes, nor a stable A too slow to
     halve within 2^20 steps.  The block runner passes A^K, whose radius is
     below one iff that of A is; the slowest decay it accepts then halves
-    within A^(K*2^20)."""
+    within A^(K*2^20).  The proof runs once per system: _block_matrices
+    keeps its outcome with the matrices, None for a system it fails."""
     power = A
     for _ in range(21):
         if np.abs(power).sum(axis=1).max() <= 0.5:
@@ -158,6 +161,50 @@ def _toeplitz_index(K: int) -> np.ndarray:
     index = K - 1 - k[:, None] + k
     index.flags.writeable = False
     return index
+
+
+# systems whose block matrices _block_matrices keeps: one command steps at
+# most five (the board's four method legs, the inverter's five loops), so 8
+# holds one command's and those of a frequency sweep of one design; an entry
+# is 10-25 KB at the default sizes and about 1.3 MB, key included, at
+# MAX_DELAY_SAMPLES, so the bound also caps what a run over many designs keeps
+BLOCK_SYSTEMS = 8
+
+
+@functools.lru_cache(maxsize=BLOCK_SYSTEMS)
+def _block_matrices(system):
+    """The per-system part of _block_lti, for system = the (shape, bytes)
+    pairs of (A, B, C, D), so only the same bits hit an entry: None when
+    _decays does not show A^K to decay, or else three read-only arrays,
+    the weights [i, j] = A^(K-1-j) B_i of the inputs' drive on the state
+    after a block, the fused (ns + m*K, K) output matrix [C A^j rows ; each
+    input's Toeplitz] and A^K.  Every run of one controller shares them;
+    the scan's squarings stay in the run, as they depend on its length."""
+    A, B, C, D = (np.frombuffer(data).reshape(shape) for shape, data in system)
+    ns, m = B.shape
+    K = BLOCK
+    with np.errstate(all="ignore"):
+        powers = np.empty((K + 1, ns, ns))  # A^0 .. A^K
+        powers[0] = np.eye(ns)
+        for k in range(K):
+            np.dot(powers[k], A, out=powers[k + 1])
+        if not _decays(powers[K]):
+            return None
+        state_out = (C @ powers[:K])[:, 0]  # [j] = C A^j
+        weights = powers[K - 1 :: -1] @ B  # [j, :, i] = A^(K-1-j) B_i
+        # the Markov parameters D, CB, CAB, ... after K - 1 zeros
+        markov = np.zeros((m, 2 * K - 1))
+        markov[:, K - 1] = D[0]
+        markov[:, K:] = (state_out[: K - 1] @ B).T
+        # [i, j, k] = Markov parameter k - j, 0 for k < j: a row of inputs times it is their convolution
+        toeplitz = np.take(markov, _toeplitz_index(K), axis=1)
+        # block row b is [edges[b] | block b of every input], and its outputs
+        # are that row times [C A^j rows ; each input's Toeplitz], one sum per sample
+        fused = np.concatenate((state_out.T, toeplitz.reshape(m * K, K)))
+    power = powers[K].copy()  # A^K alone, not all K + 1 powers
+    for a in (weights, fused, power):
+        a.flags.writeable = False
+    return weights.transpose(2, 0, 1), fused, power
 
 
 def _block_lti(A, B, C, D, inputs):
@@ -197,33 +244,27 @@ def _block_lti(A, B, C, D, inputs):
     scan and edge loop alike, outputs agree with it within 1e-12 of the
     signal peak (the README gives a longer run where both drift further).
 
+    The system's part (the powers of A, the _decays proof, the drive
+    weights, the fused output matrix and A^K) is _block_matrices', built
+    once per system and cached by its exact bits, so a repeated controller
+    only steps its inputs, with the bits a cold run gives.
+
     Returns [y], the one output row, or None when the per-step loop must
     run instead: A^K, the power the products need anyway, is not shown to
     decay (spectral radius >= 1, or no halving within A^(K*2^20)), or a
     block-edge state or any computed output, dropped ones included, is not
     finite and below OVERFLOW_GUARD.
     """
+    matrices = _block_matrices(tuple((a.shape, a.tobytes()) for a in (A, B, C, D)))
+    if matrices is None:
+        return None
+    weights, fused, power = matrices  # power = A^K
     ns, m = B.shape
     total = len(inputs[0])
     K = BLOCK
     nb = total // K  # whole blocks
     nr = -(-total // (2 * K)) * 2  # block rows, even
     with np.errstate(all="ignore"):
-        powers = np.empty((K + 1, ns, ns))  # A^0 .. A^K
-        powers[0] = np.eye(ns)
-        for k in range(K):
-            np.dot(powers[k], A, out=powers[k + 1])
-        if not _decays(powers[K]):
-            return None
-        state_out = (C @ powers[:K])[:, 0]  # [j] = C A^j
-        weights = (powers[K - 1 :: -1] @ B).transpose(2, 0, 1)  # [i, j] = A^(K-1-j) B_i
-        # the Markov parameters D, CB, CAB, ... after K - 1 zeros
-        markov = np.zeros((m, 2 * K - 1))
-        markov[:, K - 1] = D[0]
-        markov[:, K:] = (state_out[: K - 1] @ B).T
-        # [i, j, k] = Markov parameter k - j, 0 for k < j: a row of inputs times it is their convolution
-        toeplitz = np.take(markov, _toeplitz_index(K), axis=1)
-
         # the state before each block row; rows past the last whole block keep a zero edge
         edges = np.zeros((nr + 1, ns))
         after = edges[1 : nb + 1]  # a view: the state after each whole block
@@ -232,24 +273,20 @@ def _block_lti(A, B, C, D, inputs):
         if _scan_pays(ns, nb):
             # inclusive scan of s <- A^K s + drive: after the level at shift, each
             # row holds the drives of the 2*shift blocks up to it, carried by A^K
-            step, shift = powers[K].T.astype(np.longdouble), 1
+            step, shift = power.T.astype(np.longdouble), 1
             while shift < nb:
                 after[shift:] += np.dot(after[:-shift], step.astype(float))
                 shift *= 2
                 if shift < nb:
                     step = step @ step
         else:
-            step, state = powers[K].T, edges[0]
+            step, state = power.T, edges[0]
             for edge in after:  # the state moves from block edge to block edge
                 edge += np.dot(state, step)
                 state = edge
         if not _within_guard(edges):
             return None
         whole = np.empty((nr, K))  # every row's outputs; those past the last sample are dropped
-        # block row b is [edges[b] | block b of every input, zero past the last
-        # sample], and its outputs are that row times [C A^j rows ; each input's
-        # Toeplitz], one sum per sample
-        fused = np.concatenate((state_out.T, toeplitz.reshape(m * K, K)))
         size = min(OUTPUT_ROWS, nr)
         rows = np.zeros((size + size % 2, ns + m * K))
         for b in range(0, nr, len(rows)):
@@ -284,15 +321,28 @@ def _legs_system(legs):
     return nxt[:, :ns], nxt[:, ns:], out[None, :ns], out[None, ns:]
 
 
+def _reject_non_finite(x: np.ndarray, what: str) -> None:
+    """A ParamError naming the first sample of x that is not finite, if any."""
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ParamError(f"{what} {bad[0]} is {float(x[bad[0]])!r}, not finite")
+
+
 def _run_steps(legs, x: np.ndarray) -> np.ndarray:
-    """Per-step route of run_difference_equation."""
+    """Per-step route of run_difference_equation.  An output that is not
+    finite comes from an input that is not, if one came before it, and
+    then that input is named, not an overflow.  The samples are stepped
+    as Python floats, whose arithmetic gives the same bits as numpy's and
+    no warning on an infinity."""
     runners = [DiffEqRunner(c) for c in legs]
     out = np.empty(x.size)
-    for n, v in enumerate(x):
+    for n, v in enumerate(x.tolist()):
         y = 0.0
         for r in runners:
             y += r.step(v)
         if not abs(y) < OVERFLOW_GUARD:
+            if not math.isfinite(y):
+                _reject_non_finite(x[: n + 1], "input sample")
             raise NumericOverflow(f"output {float(y)!r} at sample {n} exceeds guard {OVERFLOW_GUARD:g}")
         out[n] = y
     return out
@@ -450,8 +500,13 @@ def thd(samples, f0: float, fs: float, max_harmonic: int = 50) -> float:
     p = round(periods)
     g = math.gcd(x.size, p)
     q, m = p // g, x.size // g  # periods and samples of one folded part
+    part = x.reshape(g, m).sum(axis=0)
+    # not an arithmetic gate such as the part's sum or its dot with itself:
+    # those warn on mixed infinities, or overflow on a finite window
+    if not np.isfinite(part).all():
+        _reject_non_finite(x, "sample")
     # bin h*q of the folded spectrum is harmonic h; 2/N scales it to an amplitude
-    c = np.abs(np.fft.rfft(x.reshape(g, m).sum(axis=0))) * (2.0 / x.size)
+    c = np.abs(np.fft.rfft(part)) * (2.0 / x.size)
     fund = c[q]
     if fund < 1e-300:
         raise DomainError("fundamental component is zero, distortion undefined")

@@ -1,12 +1,14 @@
-"""Malformed signals and counts end in ParamError, and simulate inverter
-checks its THD window before it runs any method."""
+"""Malformed signals and counts end in ParamError, a non-finite sample is
+named, and simulate inverter checks its THD window before it runs any
+method."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sbtkit import DiffEqCoeffs, ParamError, WindowError, cli, run_difference_equation, sim
+from sbtkit import DiffEqCoeffs, NumericOverflow, ParamError, WindowError, cli, run_difference_equation, sim
 from sbtkit import sine_steady_state, thd
 
 GAIN = DiffEqCoeffs(kin0=2.0, kin1=0.0, kin2=0.0, kout1=0.0, kout2=0.0)
@@ -70,3 +72,40 @@ def test_inverter_checks_its_thd_window_before_any_run(monkeypatch, capsys, argv
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {error}\n"
     assert calls == []
+
+
+DELAY = DiffEqCoeffs(kin0=0.0, kin1=1.0, kin2=0.0, kout1=0.0, kout2=0.0)
+
+
+@pytest.mark.parametrize("leg", [GAIN, DELAY], ids=["gain", "delay"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_a_non_finite_input_sample_is_named_not_an_overflow(leg, bad):
+    x = [1.0, 2.0, bad, 3.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamError, match=rf"^input sample 2 is {bad!r}, not finite$"):
+            run_difference_equation(leg, x)
+
+
+def test_a_finite_input_beyond_the_guard_is_still_an_overflow():
+    with pytest.raises(NumericOverflow, match="at sample 0 "):
+        run_difference_equation(GAIN, [1e307, math.nan])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=repr)
+def test_thd_names_the_first_non_finite_sample(bad):
+    x = WAVE.copy()
+    x[[777, 9000]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamError, match=rf"^sample 777 is {bad!r}, not finite$"):
+            thd(x, F0, FS)
+
+
+def test_a_finite_window_whose_squares_overflow_reads_as_before():
+    # the fold's dot product with itself overflows, so the window is
+    # scanned for a non-finite sample, finds none, and is read as it is
+    big = WAVE * 2.0**510
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert thd(big, F0, FS) == thd(WAVE, F0, FS)

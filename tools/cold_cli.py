@@ -8,7 +8,8 @@ from ``os.wait4``).  The ``import`` row is a process that only imports
 ``sbtkit.cli``: the start-up share of every other row.  The rounds are
 interleaved, one run of each subcommand per round, so that drift in host
 speed spreads over all rows, and one round before them, which warms the
-page cache, is discarded.  The header line says whether the children write
+page cache, is discarded.  ``{tmp}`` in a row's argv is the run's temporary
+directory.  The header line says whether the children write
 bytecode.  With PYTHONDONTWRITEBYTECODE set (it is inherited) and no
 ``__pycache__`` left by an earlier run, every child compiles sbtkit's
 modules again, about half of sbtkit's own import time.
@@ -43,6 +44,8 @@ COMMANDS = {
     "pole-map": ("pole-map",),
     "optimize": ("optimize",),
     "simulate board": ("simulate", "board"),
+    # each method's 20-cycle trace run reuses its sine probe's block matrices
+    "simulate board --trace-dir": ("simulate", "board", "--trace-dir", "{tmp}/traces"),
     "simulate inverter": ("simulate", "inverter"),
 }
 
@@ -77,8 +80,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.json")
         children = {"import": [sys.executable, "-c", "import sbtkit.cli"]}
-        children.update({name: [sys.executable, "-m", "sbtkit", *cmd, "--format", "json",
-                                "--output", out] for name, cmd in COMMANDS.items()})
+        children.update({name: [sys.executable, "-m", "sbtkit", *(a.replace("{tmp}", tmp) for a in cmd),
+                                "--format", "json", "--output", out] for name, cmd in COMMANDS.items()})
         for round_ in range(args.runs + 1):
             for name, child in children.items():
                 wall, peak, code, err = run_once(child, env)
@@ -93,10 +96,10 @@ def main(argv=None) -> int:
     bytecode = "not written" if env.get("PYTHONDONTWRITEBYTECODE") else "written"
     print(f"# {args.runs} runs per row, OPENBLAS_NUM_THREADS {threads}, bytecode {bytecode}, "
           f"python {sys.version.split()[0]}")
-    print(f"{'subcommand':<20}{'median ms':>12}{'max RSS MB':>12}")
+    print(f"{'subcommand':<28}{'median ms':>12}{'max RSS MB':>12}")
     for name in walls:
         if walls[name]:
-            print(f"{name:<20}{1e3 * statistics.median(walls[name]):>12.1f}{max(rss[name]):>12.2f}")
+            print(f"{name:<28}{1e3 * statistics.median(walls[name]):>12.1f}{max(rss[name]):>12.2f}")
     return 1 if failed else 0
 
 
