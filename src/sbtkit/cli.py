@@ -521,15 +521,11 @@ def main(argv=None) -> int:
         try:
             args.constants = _constants(args)
             return args.func(args)
-        except (ParamError, OSError, Warning) as exc:  # a Warning the caller's filters raise
+        except (SbtkitError, OSError, Warning) as exc:  # a Warning the caller's filters raise
             print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except NumericOverflow as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        except SbtkitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+            # the exit codes of the README: 2 for a bad input, 4 for a diverging run, 3 for the math
+            return (2 if isinstance(exc, (ParamError, OSError, Warning))
+                    else 4 if isinstance(exc, NumericOverflow) else 3)
         except OverflowError:  # the constants, then --alpha and --beta where given
             given = {k: v for k in ("alpha", "beta") if (v := getattr(args, k, None)) is not None}
             values = ", ".join(f"{k}={v!r}" for k, v in {**args.constants, **given}.items())

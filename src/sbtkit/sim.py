@@ -153,14 +153,12 @@ def _scan_pays(ns: int, nb: int) -> bool:
     return X87_LONG_DOUBLE and 5.5 * (levels - 1) * ns**3 + 0.1 * levels * nb * ns**2 <= 1500.0 * nb
 
 
-@functools.lru_cache(maxsize=4)
 def _toeplitz_index(K: int) -> np.ndarray:
     """The (K, K) index K - 1 - j + k into the Markov parameters after K - 1
-    zeros: entry [j, k] picks parameter k - j, a zero for k < j."""
+    zeros: entry [j, k] picks parameter k - j, a zero for k < j.  Built
+    once per _block_matrices entry, whose cache holds the gathered result."""
     k = np.arange(K)
-    index = K - 1 - k[:, None] + k
-    index.flags.writeable = False
-    return index
+    return K - 1 - k[:, None] + k
 
 
 # systems whose block matrices _block_matrices keeps: one command steps at
@@ -427,6 +425,12 @@ def sine_steady_state(
     consecutive windows are compared; disagreement above 0.1 percent raises
     NotSettled, which usually means settle_cycles is too small for the
     controller's decay time.
+
+    The result is scale-free: the settle test is relative to the second
+    window's amplitude, and the phase is undefined (reported as 0) only
+    where the response's or the drive's projection is exactly zero, so a
+    drive of 2**k (k from -1000 to 20 on the reference board) gives the
+    verdict and phase of a unit drive and 2**k times its amplitude.
     """
     if not 0.0 < f < 0.5 * fs:
         raise DomainError(f"need 0 < f < fs/2, got f={f!r}, fs={fs!r}")
@@ -454,13 +458,13 @@ def sine_steady_state(
     c1 = project(y[settle : settle + window], ph1)
     c2 = project(y[settle + window :], ph2)
     a1, a2 = abs(c1), abs(c2)
-    if abs(a2 - a1) > 1e-3 * max(a2, 1e-30):
+    if abs(a2 - a1) > 1e-3 * a2:
         raise NotSettled(
             f"window amplitudes {a1!r} and {a2!r} differ by more than 0.1%; "
             "increase settle_cycles"
         )
     cx = project(x[settle + window :], ph2)
-    if a2 < 1e-300 or abs(cx) < 1e-300:
+    if c2 == 0 or cx == 0:
         # no fundamental in drive or response: phase is undefined, report 0
         phase = 0.0
     else:
@@ -486,6 +490,12 @@ def thd(samples, f0: float, fs: float, max_harmonic: int = 50) -> float:
     time), so the window is folded to one part of N/g samples and
     harmonic h is read at bin h*p/g of its rfft.  With g = 1 the fold is
     the window itself.
+
+    The value is scale-free: a window whose folded part is not finite, or
+    peaks outside [2**-256, 2**256], is read scaled by the power of two
+    that brings its peak into [0.5, 1), so the window times 2**k reads the
+    same for every k that keeps its samples finite and normal, with no
+    numpy warning; any other window is read as it is.
     """
     x = _signal(samples, "samples")
     if not 0.0 < f0 < 0.5 * fs:
@@ -500,11 +510,15 @@ def thd(samples, f0: float, fs: float, max_harmonic: int = 50) -> float:
     p = round(periods)
     g = math.gcd(x.size, p)
     q, m = p // g, x.size // g  # periods and samples of one folded part
-    part = x.reshape(g, m).sum(axis=0)
-    # not an arithmetic gate such as the part's sum or its dot with itself:
-    # those warn on mixed infinities, or overflow on a finite window
-    if not np.isfinite(part).all():
+    with np.errstate(all="ignore"):  # mixed infinities, or a finite window that overflows
+        part = x.reshape(g, m).sum(axis=0)
+    # a part that is not finite, or too large or small for the squares below,
+    # is folded again from the window scaled by the power of two that brings
+    # its peak into [0.5, 1): exact, so every scale of one window reads the
+    # same; any other window is read as it is (a nan or inf peak fails the test)
+    if not 2.0**-256 <= np.abs(part).max() <= 2.0**256:
         _reject_non_finite(x, "sample")
+        part = np.ldexp(x, -math.frexp(np.abs(x).max())[1]).reshape(g, m).sum(axis=0)
     # bin h*q of the folded spectrum is harmonic h; 2/N scales it to an amplitude
     c = np.abs(np.fft.rfft(part)) * (2.0 / x.size)
     fund = c[q]

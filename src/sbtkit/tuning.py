@@ -282,23 +282,16 @@ def optimize_alpha_beta(
     # the earliest least cell, nan counted as inf
     cell = min(range(len(coarse)), key=lambda k: math.inf if math.isnan(coarse[k]) else coarse[k])
 
-    i, j = divmod(cell, len(betas))
-    a_left = alphas[max(i - 1, 0)]
-    a_right = alphas[min(i + 1, len(alphas) - 1)]
-    b_left = betas[max(j - 1, 0)]
-    b_right = betas[min(j + 1, len(betas) - 1)]
-    cur_a = alphas[i]
-    cur_b = betas[j]
-
+    # one (left, right, current) bracket per axis: the best cell's coarse neighbors and the cell
+    brackets = [(axis[max(i - 1, 0)], axis[min(i + 1, len(axis) - 1)], axis[i])
+                for axis, i in zip((alphas, betas), divmod(cell, len(betas)))]
     for _ in range(search_cfg.refine_iters):
-        if a_right > a_left:
-            a_left, a_right, cur_a = _golden_step(
-                a_left, a_right, lambda a: evaluate("refine-alpha", a, cur_b)
-            )
-        if b_right > b_left:
-            b_left, b_right, cur_b = _golden_step(
-                b_left, b_right, lambda b: evaluate("refine-beta", cur_a, b)
-            )
+        for k, stage in enumerate(("refine-alpha", "refine-beta")):
+            left, right, _ = brackets[k]
+            if right > left:  # a step on axis k, the other axis at its current point
+                pair = [bracket[2] for bracket in brackets]
+                brackets[k] = _golden_step(
+                    left, right, lambda x: evaluate(stage, *pair[:k], x, *pair[k + 1 :]))
 
     least = trace[-1].best_loss
     if least == math.inf:

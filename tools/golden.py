@@ -50,8 +50,7 @@ from sbtkit import cli  # noqa: E402
 
 FORMATS = ("table", "csv", "json")
 SEEDS = range(1, 7)
-REFERENCE = {"kr": 59.1, "wc": 17.907, "wn": 5969.0, "fs": 20000.0,
-             "kp": 2.955, "tau_i": 8.594e-4, "kr_inv": 44.325}
+REFERENCE = cli.DEFAULTS  # the reference board: the constants every command defaults to
 
 ERROR_CASES = [
     # exit 2: a bad argument the command reads
@@ -126,6 +125,9 @@ ERROR_CASES = [
     ("error", "--format", "json"),
     ("bode", "--kr", "1e308", "--grid", "940:960:3", "--format", "json"),
     ("discretize", "--method", "sbt", "--format", "json"),
+    # the sine probe at a tiny drive reads as at amplitude 1: exit 3 unsettled, the phase of --amp 1
+    ("simulate", "board", "--methods", "euler,sbt", "--settle-cycles", "2", "--amp", "1e-40"),
+    ("simulate", "board", "--methods", "tustin,sbt", "--amp", "1e-300", "--format", "csv"),
 ]
 
 
