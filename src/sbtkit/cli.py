@@ -444,7 +444,9 @@ def _add_common(sp, constants=tuple(CONSTANT_HELP), with_grid: bool = False) -> 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built once: it costs about 40 parses, and parse_args keeps no state."""
+    """The argument tree, built once: it costs about 40 parses, and parse_args keeps no state.
+    A command stores its handler's name, not the function, so main calls
+    whatever cmd_<name> is bound to when the command runs."""
     ap = argparse.ArgumentParser(
         prog="sbtkit",
         description="Discretize, compare and simulate resonant current controllers.",
@@ -453,12 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def command(parent, name, text, func=None, **common):
-        """A sub-parser; a leaf command also gets its handler and _add_common flags."""
+        """A sub-parser; a leaf command also gets its handler's name and _add_common flags."""
         # a prefix must not stand for a flag: --fs is not --fs-ctrl
         sp = parent.add_parser(name, help=text, allow_abbrev=False)
         if func is not None:
             _add_common(sp, **common)
-            sp.set_defaults(func=func)
+            sp.set_defaults(handler=func.__name__)
         return sp
 
     sp = command(sub, "discretize", "closed-form biquad coefficients", cmd_discretize)
@@ -520,7 +522,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             args.constants = _constants(args)
-            return args.func(args)
+            return globals()[args.handler](args)
         except (SbtkitError, OSError, Warning) as exc:  # a Warning the caller's filters raise
             print(f"error: {exc}", file=sys.stderr)
             # the exit codes of the README: 2 for a bad input, 4 for a diverging run, 3 for the math

@@ -147,15 +147,19 @@ def pir_continuous(pi: PiParams, qr: QrParams) -> TransferFunction:
 
 def _qr_column(p: QrParams, al: float, bc: float, bn: float, T: float) -> tuple[float, ...]:
     """The closed-form column (a2, a1, a0, b2, b1, b0) at (alpha, beta_c, beta_n),
-    unchecked: the search loss calls it per evaluation, qr_discretize per design."""
+    unchecked: the search loss calls it per evaluation, qr_discretize per design.
+    The left-hand prefixes (4*al - 2)*bc and (2 - 2*al)*bc are computed once;
+    each product still runs left to right, and negation is exact, so every
+    coefficient keeps the bits of the expression written out in full."""
     kr, wc, wn = p.kr, p.omega_c, p.omega_n
+    lead, trail = (4 * al - 2) * bc, (2 - 2 * al) * bc
     return (
         2 * al * bc * kr * wc * T,
-        -(4 * al - 2) * bc * kr * wc * T,
-        -(2 - 2 * al) * bc * kr * wc * T,
+        -lead * kr * wc * T,
+        -trail * kr * wc * T,
         1 + 2 * al * bc * wc * T + (al * bn * wn * T) ** 2,
-        -2 - (4 * al - 2) * bc * wc * T + 2 * al * (1 - al) * (bn * wn * T) ** 2,
-        1 - (2 - 2 * al) * bc * wc * T + ((1 - al) * bn * wn * T) ** 2,
+        -2 - lead * wc * T + 2 * al * (1 - al) * (bn * wn * T) ** 2,
+        1 - trail * wc * T + ((1 - al) * bn * wn * T) ** 2,
     )
 
 

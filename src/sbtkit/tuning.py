@@ -166,15 +166,19 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
     below 0.5).  No roots are computed here, so quadratic_roots and its
     residual check run only in pole_map_table.
 
-    The magnitude losses run in _mag_loss, whose errstate decorator is the
-    one numpy error scope of an evaluation.
+    q_loss is undecorated, so both warnings point at its caller (a numpy
+    errstate decorator here would move them into numpy's frame).  The
+    magnitude losses then make one call, to _mag_loss, with _qr_column's
+    flat column and the unpacked _context triple; its errstate decorator
+    is the one numpy error scope of an evaluation.
     """
     if cfg is None:
         cfg = _default_loss()
     _check_sbt(alpha, beta)
     _check_positive("sample period", T)
     _warn_unstable_alpha(alpha)
-    a2, a1, a0, b2, b1, b0 = _qr_column(p, alpha, beta, beta, T)
+    column = _qr_column(p, alpha, beta, beta, T)
+    b2, b1, b0 = column[3:]
     c0, c1 = b0 / b2, b1 / b2
     if not (abs(c0) <= 1.0 and abs(c1) <= 1.0 + c0):
         warnings.warn(f"discrete poles outside the unit disk for alpha={alpha}, beta={beta}",
@@ -184,26 +188,30 @@ def q_loss(alpha: float, beta: float, p: QrParams, T: float, cfg: LossConfig | N
         eq = equivalent_s_from_z(z_from_s(original, SbtParams(alpha, beta), T), T)
         return abs(eq - original) / p.omega_n
     basis, ref, w = _context(p, T, cfg)
-    return _mag_loss(((b0, b1, b2), (a0, a1, a2)), c0, c1, basis, ref, w, cfg.loss_kind == "mag_rmse_db")
+    return _mag_loss(column, c0, c1, basis, ref, w, cfg.loss_kind == "mag_rmse_db")
 
 
 @np.errstate(all="ignore")
-def _mag_loss(rows, c0, c1, basis, ref, w, db) -> float:
+def _mag_loss(column, c0, c1, basis, ref, w, db) -> float:
     """RMS error (weighted by w when given) of the biquad's magnitude against
-    ref over the grid of basis, in dB when db is set; rows are ((b0, b1, b2),
-    (a0, a1, a2)) and c0, c1 the monic denominator's b0/b2 and b1/b2.
+    ref over the grid of basis, in dB when db is set; column is
+    _qr_column's flat (a2, a1, a0, b2, b1, b0) and c0, c1 the monic
+    denominator's b0/b2 and b1/b2.
 
-    The response goes through analysis._values, complex_response's one
-    product, on the cached power basis of the grid (num/1 at pole hits,
-    +inf dB there), so the loss equals the one built from the public
-    evaluators bit for bit.  The pole-hit mask is built only when a hit is
-    possible: for complex poles, |z^2 + c1*z + c0| >= (1 - sqrt(c0))^2 on
-    |z| = 1, and when b2 times that bound clears POLE_HIT_TOL by more than
-    the product's rounding, no grid point is a hit.  Real poles, poles near
-    the circle and nan coefficients always build it.
+    Reversed, the column is the ascending rows (b0, b1, b2) and (a0, a1, a2)
+    of one (2, 3) array.  The response goes through analysis._values,
+    complex_response's one product, on the cached power basis of the grid
+    (num/1 at pole hits, +inf dB there), so the loss equals the one built
+    from the public evaluators bit for bit.  The pole-hit mask is built
+    only when a hit is possible: for complex poles, |z^2 + c1*z + c0| >=
+    (1 - sqrt(c0))^2 on |z| = 1, and when b2 times that bound clears
+    POLE_HIT_TOL by more than the product's rounding, no grid point is a
+    hit.  Real poles, poles near the circle and nan coefficients always
+    build it.
     """
-    b0, b1, b2 = rows[0]
-    den, num = _values(np.array(rows), basis)
+    v = _values(np.array(column[::-1]).reshape(2, 3), basis)
+    den, num = v[0], v[1]
+    b2, b1, b0 = column[3:]
     # for complex poles |den| >= b2*(1 - sqrt(c0))^2 on |z| = 1: when that
     # clears POLE_HIT_TOL past the product's rounding, no grid point is a hit
     gap = 1.0 - math.sqrt(c0) if c1 * c1 < 4.0 * c0 else 0.0
@@ -263,11 +271,15 @@ def optimize_alpha_beta(
         search_cfg = SearchConfig()
 
     trace: list[TraceEntry] = []
+    least = math.inf  # the running best loss, nan ignored
 
     def evaluate(stage: str, a: float, b: float) -> float:
+        nonlocal least
         val = q_loss(a, b, p, T, loss_cfg)
-        best = trace[-1].best_loss if trace else math.inf
-        trace.append(TraceEntry(stage, a, b, val, val if val < best else best))
+        if val < least:
+            least = val
+        # tuple.__new__ builds the same TraceEntry without the NamedTuple's Python __new__
+        trace.append(tuple.__new__(TraceEntry, (stage, a, b, val, least)))
         return val
 
     sf = sbt_params_straightforward(p, T)
@@ -280,7 +292,8 @@ def optimize_alpha_beta(
     betas = _axis_points(b_lo, b_hi, search_cfg.coarse_points)
     coarse = [evaluate("coarse", a, b) for a in alphas for b in betas]
     # the earliest least cell, nan counted as inf
-    cell = min(range(len(coarse)), key=lambda k: math.inf if math.isnan(coarse[k]) else coarse[k])
+    keys = [math.inf if math.isnan(v) else v for v in coarse]
+    cell = min(range(len(keys)), key=keys.__getitem__)
 
     # one (left, right, current) bracket per axis: the best cell's coarse neighbors and the cell
     brackets = [(axis[max(i - 1, 0)], axis[min(i + 1, len(axis) - 1)], axis[i])
@@ -293,7 +306,6 @@ def optimize_alpha_beta(
                 brackets[k] = _golden_step(
                     left, right, lambda x: evaluate(stage, *pair[:k], x, *pair[k + 1 :]))
 
-    least = trace[-1].best_loss
     if least == math.inf:
         raise DomainError("no (alpha, beta) in the box gives a finite loss")
     best = next(e for e in trace if e.loss == least)
